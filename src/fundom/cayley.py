@@ -32,7 +32,7 @@ class CayleyGraph:
 
     def default_root(self) -> int:
         """First vertex equal to S in PSL2, else vertex 0."""
-        s_key = psl_normalize(S_MAT).key()
+        s_key = psl_normalize(S_MAT).entries()
         for i, m in enumerate(self.mats):
             if m.entries() == s_key:
                 return i
@@ -64,7 +64,7 @@ def build_graph(coset_list: CosetList) -> CayleyGraph:
     mats = []
     index = {}
     for w, m in zip(coset_list.reps, coset_list.mats):
-        nm = psl_normalize(m).mat
+        nm = psl_normalize(m)
         key = nm.entries()
         if key in index:
             raise DuplicateVertex(
@@ -75,7 +75,7 @@ def build_graph(coset_list: CosetList) -> CayleyGraph:
     adj = [[] for _ in mats]
     for i, m in enumerate(mats):
         for gen in (S_MAT, T_MAT, T_INV):
-            key = psl_normalize(m * gen).key()
+            key = psl_normalize(m * gen).entries()
             j = index.get(key)
             if j is not None and j != i:
                 if j not in adj[i]:

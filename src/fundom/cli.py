@@ -2,8 +2,9 @@
 
 Subcommands: list, verify, mtable, cusps, render, graph.  Every emit
 command verifies its list first (disable with --no-verify, which
-watermarks the output).  Exit codes: 0 ok, 1 verification/IO failure,
-2 usage error.
+watermarks the output).  Exit codes: 0 ok; 1 failed verification or
+unreadable/malformed input; 2 usage error, including an empty sweep and
+a --N that disagrees with the loaded file.
 """
 
 from __future__ import annotations
@@ -35,10 +36,14 @@ def _groups(name: str) -> list[Group]:
 def _parse_sweep(text: str) -> range:
     lo, _, hi = text.partition("..")
     try:
-        return range(int(lo), int(hi) + 1)
+        levels = range(int(lo), int(hi) + 1)
     except ValueError:
         print(f"error: bad sweep range {text!r}", file=sys.stderr)
         raise SystemExit(2)
+    if not levels:
+        print(f"error: empty sweep range {text!r}", file=sys.stderr)
+        raise SystemExit(2)
+    return levels
 
 
 def _write(text: str, out: str | None):
@@ -90,11 +95,29 @@ def _check_one(lst: CosetList) -> bool:
     return connected
 
 
-def cmd_verify(args):
-    if args.load:
+def _load(args) -> CosetList:
+    """The list saved in the --load file, whose N must match any --N."""
+    try:
         with open(args.load) as fh:
             lst = CosetList.from_json(fh.read())
-        raise SystemExit(0 if _check_one(lst) else 1)
+        if type(lst.level.n) is not int:
+            raise ValueError(f"N must be an integer, got {lst.level.n!r}")
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        print(f"error: cannot load {args.load}: {detail}", file=sys.stderr)
+        raise SystemExit(1)
+    if args.N is not None and args.N != lst.level.n:
+        print(
+            f"error: --N {args.N} but {args.load} holds N={lst.level.n}",
+            file=sys.stderr,
+        )
+        raise SystemExit(2)
+    return lst
+
+
+def cmd_verify(args):
+    if args.load:
+        raise SystemExit(0 if _check_one(_load(args)) else 1)
     levels = _parse_sweep(args.sweep) if args.sweep else [args.N]
     failed = False
     for n in levels:
@@ -142,16 +165,16 @@ def cmd_cusps(args):
 
 def cmd_render(args):
     lst = _verified_list(args)
+    if args.format == "json":
+        _write(domain.render_json(lst) + "\n", args.out)
+        return
     opts = domain.RenderOptions(y_max=args.y_max, labels=args.labels)
     svg = domain.render_svg(lst, opts)
     if args.no_verify:
         svg = svg.replace(
             "<svg ", "<!-- UNVERIFIED LIST -->\n<svg ", 1
         )
-    if args.format == "json":
-        _write(domain.render_json(lst) + "\n", args.out)
-    else:
-        _write(svg, args.out)
+    _write(svg, args.out)
 
 
 def cmd_graph(args):
@@ -225,8 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "command", None) == "verify":
-        if args.N is None and not args.sweep:
-            print("error: verify needs --N or --sweep", file=sys.stderr)
+        if args.N is None and not args.sweep and not args.load:
+            print(
+                "error: verify needs --N, --sweep or --load", file=sys.stderr
+            )
             return 2
     try:
         args.func(args)

@@ -92,14 +92,6 @@ class CosetList:
         )
 
 
-def _nonunit_js(level: Level):
-    return [
-        j
-        for j in range(-level.n1, level.n2 + 1)
-        if gcd(j, level.n) > 1
-    ]
-
-
 def _unit_ks(level: Level):
     """Representatives k in [-N1, -2] of the unit classes mod +-1,
     excluding the class of 1 (represented by the identity word)."""
@@ -109,10 +101,9 @@ def _unit_ks(level: Level):
 
 
 def theta0(level: Level) -> CosetList:
-    mt = projline.m_table(level)
     reps = [st(i) for i in range(-level.n1, level.n2 + 1)]
-    for j in _nonunit_js(level):
-        for m in range(mt[j] + 1):
+    for j, mj in projline.m_table(level).entries.items():  # nonunit j
+        for m in range(mj + 1):
             reps.append(st(j) * st(m))
     return CosetList(level, Group.GAMMA0, reps)
 
@@ -134,9 +125,9 @@ def theta1(level: Level) -> CosetList:
         kinv = inv_mod(sym_rep(k, level)).value
         for i in range(-level.n1, level.n2 + 1):
             reps.append(st(k) * st(i))
-        for j in _nonunit_js(level):
+        for j, mj in mt.entries.items():
             x = level.reduce(kinv + j)
-            for m in range(mt[j] + 1):
+            for m in range(mj + 1):
                 reps.append(st(k) * st(x) * st(m))
     return CosetList(level, Group.GAMMA1, reps)
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 from .cosets import CosetList
+from .projline import m_table
 from .residues import Level
 from .words import Cusp, GroupWord, Mat2, cusp, evaluate, mobius_cusp
 
@@ -57,7 +58,11 @@ class IdealTriangle:
 
 
 def triangle_of(word: GroupWord) -> IdealTriangle:
-    m = evaluate(word)
+    return _triangle(word, evaluate(word))
+
+
+def _triangle(word: GroupWord, m: Mat2) -> IdealTriangle:
+    """The triangle of a word whose matrix m is already known."""
     return IdealTriangle(
         word,
         (
@@ -236,21 +241,16 @@ def render_svg(coset_list: CosetList, options: RenderOptions | None = None) -> s
     deterministic for a fixed list and options.
     """
     opts = options or RenderOptions()
-    triangles = [triangle_of(w) for w in coset_list.reps]
-    xs = [0.0]
-    for t in triangles:
-        for v in t.vertices:
-            z = v.value()
-            if z is not None:
-                xs.append(z.real)
+    triangles = list(map(_triangle, coset_list.reps, coset_list.mats))
+    points = [[v.value() for v in t.vertices] for t in triangles]
+    xs = [0.0] + [z.real for zs in points for z in zs if z is not None]
     canvas = _Canvas(min(xs) - 0.1, max(xs) + 0.1, opts)
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'width="{_fmt(canvas.width)}" height="{_fmt(canvas.height)}" '
         f'viewBox="0 0 {_fmt(canvas.width)} {_fmt(canvas.height)}">'
     ]
-    for idx, t in enumerate(triangles):
-        v1, v2, vc = (v.value() for v in t.vertices)
+    for idx, (t, (v1, v2, vc)) in enumerate(zip(triangles, points)):
         d = " ".join(
             p
             for p in (
@@ -282,8 +282,7 @@ def render_svg(coset_list: CosetList, options: RenderOptions | None = None) -> s
 def render_json(coset_list: CosetList) -> str:
     """Machine-readable triangles with exact vertex descriptions."""
     records = []
-    for w in coset_list.reps:
-        t = triangle_of(w)
+    for t in map(_triangle, coset_list.reps, coset_list.mats):
         verts = []
         for v in t.vertices:
             if isinstance(v, CuspVertex):
@@ -300,7 +299,7 @@ def render_json(coset_list: CosetList) -> str:
                     }
                 )
         records.append(
-            {"word": str(w), "cusp": str(t.cusp), "vertices": verts}
+            {"word": str(t.word), "cusp": str(t.cusp), "vertices": verts}
         )
     doc = {
         "N": coset_list.level.n,
@@ -314,34 +313,33 @@ def render_json(coset_list: CosetList) -> str:
 # text / CSV cusp tables
 
 
+def _cusp_rows(level: Level):
+    """Rows (j, -1/j, M_j + 1, class rep) over the nonunits j, and the
+    class table that classified each cusp -1/j (oo for j = 0)."""
+    table = cusp_table(level)
+    rep_of = {c: cl.rep for cl in table.classes for c in cl.members}
+    rows = []
+    for j, mj in m_table(level).entries.items():
+        c = cusp(-1, j)
+        rows.append((j, c, mj + 1, rep_of[c]))
+    return rows, table
+
+
 def cusp_tables_text(level: Level) -> str:
     """The per-j cusp table and the per-class width table."""
-    from .projline import m_table
-
-    mt = m_table(level)
+    rows, table = _cusp_rows(level)
     lines = ["j\tcusp\tmult\tcusp rep"]
-    for j, mj in mt.entries.items():
-        c = cusp(-1, j) if j != 0 else Cusp(1, 0)
-        rep = cusp_class_rep(c, level)
-        lines.append(f"{j}\t{c}\t{mj + 1}\t{rep}")
-    lines.append("")
-    lines.append("cusp rep\twidth")
-    table = cusp_table(level)
-    for cl in table.classes:
-        lines.append(f"{cl.rep}\t{cl.width}")
+    lines += ["\t".join(map(str, row)) for row in rows]
+    lines += ["", "cusp rep\twidth"]
+    lines += [f"{cl.rep}\t{cl.width}" for cl in table.classes]
     lines.append(f"total\t{table.total_width()}")
     return "\n".join(lines) + "\n"
 
 
 def cusp_tables_csv(level: Level) -> str:
-    from .projline import m_table
-
-    mt = m_table(level)
+    rows, table = _cusp_rows(level)
     lines = ["j,cusp,mult,cusp_rep"]
-    for j, mj in mt.entries.items():
-        c = cusp(-1, j) if j != 0 else Cusp(1, 0)
-        lines.append(f"{j},{c},{mj + 1},{cusp_class_rep(c, level)}")
+    lines += [",".join(map(str, row)) for row in rows]
     lines.append("cusp_rep,width,,")
-    for cl in cusp_table(level).classes:
-        lines.append(f"{cl.rep},{cl.width},,")
+    lines += [f"{cl.rep},{cl.width},," for cl in table.classes]
     return "\n".join(lines) + "\n"

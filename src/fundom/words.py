@@ -249,20 +249,11 @@ def in_gammaN(m: Mat2, level: Level) -> bool:
 # PSL2 normalization
 
 
-@dataclass(frozen=True)
-class PslMat:
-    """A matrix in canonical sign: first nonzero of (c, d, a, b) positive."""
-
-    mat: Mat2
-
-    def key(self):
-        return self.mat.entries()
-
-
-def psl_normalize(m: Mat2) -> PslMat:
+def psl_normalize(m: Mat2) -> Mat2:
+    """m or -m, whichever has the first nonzero of (c, d, a, b) positive."""
     for x in (m.c, m.d, m.a, m.b):
         if x > 0:
-            return PslMat(m)
+            return m
         if x < 0:
-            return PslMat(m.neg())
+            return m.neg()
     raise AssertionError("zero matrix cannot have determinant 1")

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from fundom.cli import main
 from fundom.cosets import theta0, verify
 from fundom.residues import Level
@@ -71,6 +73,68 @@ def test_verify_load_good(tmp_path, capsys):
     path.write_text(lst.to_json())
     code, out, _ = run(capsys, "verify", "--N", "8", "--load", str(path))
     assert code == 0
+
+
+def _saved_list(tmp_path, n=12):
+    lst = theta0(Level(n))
+    verify(lst)
+    path = tmp_path / "list.json"
+    path.write_text(lst.to_json())
+    return path
+
+
+def test_verify_load_without_n(tmp_path, capsys):
+    path = _saved_list(tmp_path)
+    code, out, _ = run(capsys, "verify", "--load", str(path))
+    assert code == 0
+    assert "gamma0 N=12: pass" in out
+
+
+def test_verify_load_n_mismatch(tmp_path, capsys):
+    path = _saved_list(tmp_path)
+    code, out, err = run(capsys, "verify", "--N", "99", "--load", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "N=12" in err
+
+
+GOOD_DOC = {"N": 6, "group": "gamma0", "reps": [{"word": "ST"}]}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        None,  # no such file
+        "{not json",
+        json.dumps({"N": 6, "reps": []}),
+        json.dumps({**GOOD_DOC, "group": "gamma7"}),
+        json.dumps({**GOOD_DOC, "N": 1}),
+        json.dumps({**GOOD_DOC, "N": 6.0}),
+        json.dumps({**GOOD_DOC, "reps": [{"word": "ST^x"}]}),
+        json.dumps({**GOOD_DOC, "reps": [{"word": 3}]}),
+        json.dumps([1, 2]),
+    ],
+    ids=[
+        "missing-file", "invalid-json", "missing-key", "unknown-group",
+        "level-below-2", "float-level", "bad-word", "word-not-string",
+        "not-an-object",
+    ],
+)
+def test_verify_load_malformed_fails_closed(tmp_path, capsys, text):
+    path = tmp_path / "list.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run(capsys, "verify", "--load", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("sweep", ["5..3", "3..2"])
+def test_verify_empty_sweep_is_usage_error(capsys, sweep):
+    code, out, err = run(capsys, "verify", "--sweep", sweep)
+    assert code == 2
+    assert out == "" and "empty sweep" in err
 
 
 def test_mtable(capsys):

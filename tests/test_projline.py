@@ -2,6 +2,9 @@ from math import gcd
 
 import pytest
 
+from fundom import projline
+from fundom.cosets import theta0, verify
+from fundom.domain import cusp_table
 from fundom.projline import (
     NotInH,
     NotOnProjLine,
@@ -190,3 +193,30 @@ def test_gap_free_property():
 def test_mtable_getitem_reduces():
     mt = m_table(Level(6))
     assert mt[4] == mt[-2]
+
+
+def test_one_class_scan_per_level():
+    level = Level(84)
+    projline._classes.cache_clear()
+    psi(level)
+    m_table(level)
+    m_distribution(level)
+    verify(theta0(level))
+    cusp_table(level)
+    assert projline._classes.cache_info().misses == 1
+
+
+def test_returned_tables_are_fresh():
+    level = Level(30)
+    mt = m_table(level)
+    expected = dict(mt.entries)
+    mt.entries[3] = 99
+    mt.entries.clear()
+    assert m_table(level).entries == expected
+    dist = m_distribution(level)
+    expected = dict(dist)
+    dist[1] = -5
+    assert m_distribution(level) == expected
+    points = enumerate_p1(level)
+    points.pop()
+    assert len(enumerate_p1(level)) == 72

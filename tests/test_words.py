@@ -150,8 +150,8 @@ def test_membership_chain():
 
 
 def test_psl_normalize():
-    assert psl_normalize(IDENTITY).key() == psl_normalize(IDENTITY.neg()).key()
-    assert psl_normalize(S_MAT).key() == (0, -1, 1, 0)
-    assert psl_normalize(Mat2(0, 1, -1, 0)).key() == (0, -1, 1, 0)
+    assert psl_normalize(IDENTITY).entries() == psl_normalize(IDENTITY.neg()).entries()
+    assert psl_normalize(S_MAT).entries() == (0, -1, 1, 0)
+    assert psl_normalize(Mat2(0, 1, -1, 0)).entries() == (0, -1, 1, 0)
     for m in (S_MAT, T_MAT, evaluate(st(3) * st(2))):
-        assert psl_normalize(m).key() == psl_normalize(m.neg()).key()
+        assert psl_normalize(m).entries() == psl_normalize(m.neg()).entries()
