@@ -20,14 +20,10 @@ from .words import (
     Mat2,
     cusp,
     evaluate,
-    in_gamma0,
-    in_gammaN,
-    in_pm_gamma1,
     make_word,
     mobius_cusp,
     parse_word,
     psl_normalize,
-    row_map,
     st,
 )
 from .cosets import (

@@ -4,6 +4,10 @@ Vertices are the PSL2-normalized matrices of the list; two vertices are
 adjacent when one is the other times S, T or T^-1.  Connectivity of
 this graph certifies connectivity of the corresponding union of
 translated triangles.
+
+The neighbours of m = (a, b, c, d) are found on plain ints, in the order
+m*S = (b, -a, d, -c), m*T = (a, a + b, c, c + d), m*T^-1 = (a, b - a,
+c, d - c).
 """
 
 from __future__ import annotations
@@ -12,9 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .cosets import CosetList
-from .words import GroupWord, Mat2, S_MAT, T_MAT, psl_normalize
-
-T_INV = Mat2(1, -1, 0, 1)
+from .words import GroupWord, Mat2, S_MAT, psl_normalize, psl_sign
 
 
 class DuplicateVertex(ValueError):
@@ -48,14 +50,17 @@ class SpanningTree:
         return [(p, v) for v, p in self.parent.items()]
 
     def depth(self) -> int:
+        """Longest root path; iterative, so any height works."""
         depths = {self.root: 0}
-
-        def d(v):
-            if v not in depths:
-                depths[v] = d(self.parent[v]) + 1
-            return depths[v]
-
-        return max((d(v) for v in self.parent), default=0)
+        for v in self.parent:
+            path = []
+            while v not in depths:
+                path.append(v)
+                v = self.parent[v]
+            for u in reversed(path):
+                depths[u] = depths[v] + 1
+                v = u
+        return max(depths.values())
 
 
 def build_graph(coset_list: CosetList) -> CayleyGraph:
@@ -73,13 +78,14 @@ def build_graph(coset_list: CosetList) -> CayleyGraph:
         index[key] = len(mats)
         mats.append(nm)
     adj = [[] for _ in mats]
-    for i, m in enumerate(mats):
-        for gen in (S_MAT, T_MAT, T_INV):
-            key = psl_normalize(m * gen).entries()
-            j = index.get(key)
-            if j is not None and j != i:
-                if j not in adj[i]:
-                    adj[i].append(j)
+    for i, (a, b, c, d) in enumerate(index):  # keys in vertex order
+        for a2, b2, c2, d2 in (
+            (b, -a, d, -c), (a, a + b, c, c + d), (a, b - a, c, d - c)
+        ):
+            s = psl_sign(a2, b2, c2, d2)
+            j = index.get((s * a2, s * b2, s * c2, s * d2))
+            if j is not None and j != i and j not in adj[i]:
+                adj[i].append(j)
     return CayleyGraph(list(coset_list.reps), mats, adj)
 
 

@@ -174,8 +174,8 @@ def _coset_key(m: Mat2, level: Level, group: Group):
     """
     n = level.n
     if group is Group.GAMMA0:
-        p = projline.normalize(m.c, m.d, level)
-        return (p.a.value, p.b.value)
+        _, a, b, _ = projline._preferred(m.c, m.d, level)
+        return (a, b)
     if group is Group.GAMMA1:
         row = (m.c % n, m.d % n)
         return min(row, ((-m.c) % n, (-m.d) % n))

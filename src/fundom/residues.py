@@ -57,15 +57,6 @@ class Residue:
     def __int__(self) -> int:
         return self.value
 
-    def __add__(self, other: "Residue") -> "Residue":
-        return sym_rep(self.value + other.value, self.level)
-
-    def __mul__(self, other: "Residue") -> "Residue":
-        return sym_rep(self.value * other.value, self.level)
-
-    def __neg__(self) -> "Residue":
-        return sym_rep(-self.value, self.level)
-
 
 def sym_rep(x: int, level: Level) -> Residue:
     """The residue of x mod N in symmetric form."""

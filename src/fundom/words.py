@@ -4,6 +4,9 @@ A word is a signed product of tokens S and T^e.  Evaluation lands in
 SL2(Z) with arbitrary-precision entries; silent overflow is impossible.
 The serialization format is e.g. "ST^-3ST^3S", with "I" for the empty
 word and an optional leading "-".
+
+Every `Mat2` checks its determinant when it is built.  `evaluate` works
+on four plain ints and builds one `Mat2`, so checks each word once.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import re
 from dataclasses import dataclass
 from math import gcd
 
-from .residues import Level, Residue, sym_rep
 
 # tokens are ("S",) or ("T", e) with e != 0
 
@@ -56,10 +58,6 @@ S_MAT = Mat2(0, -1, 1, 0)
 T_MAT = Mat2(1, 1, 0, 1)
 
 
-def t_power(e: int) -> Mat2:
-    return Mat2(1, e, 0, 1)
-
-
 def _merge(tokens):
     out = []
     for tok in tokens:
@@ -78,7 +76,7 @@ def _merge(tokens):
 
 @dataclass(frozen=True)
 class GroupWord:
-    """A signed word in S and T^e; consecutive T tokens are merged."""
+    """A signed word in S and T^e; its tokens are merged when built."""
 
     tokens: tuple
     sign: int = 1
@@ -86,13 +84,10 @@ class GroupWord:
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise ValueError("sign must be +-1")
-        if self.tokens != _merge(self.tokens):
-            raise ValueError("tokens not in merged form; use make_word")
+        object.__setattr__(self, "tokens", _merge(self.tokens))
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
-        return GroupWord(
-            _merge(self.tokens + other.tokens), self.sign * other.sign
-        )
+        return GroupWord(self.tokens + other.tokens, self.sign * other.sign)
 
     def __str__(self):
         body = "".join(
@@ -105,15 +100,7 @@ class GroupWord:
 
 
 def make_word(*tokens, sign: int = 1) -> GroupWord:
-    return GroupWord(_merge(tokens), sign)
-
-
-def word_s() -> GroupWord:
-    return make_word(("S",))
-
-
-def word_t(e: int) -> GroupWord:
-    return make_word(("T", e))
+    return GroupWord(tokens, sign)
 
 
 def word_identity() -> GroupWord:
@@ -154,15 +141,14 @@ def parse_word(s: str) -> GroupWord:
 
 def evaluate(w: GroupWord) -> Mat2:
     """The matrix of a word: product of generators, times the sign."""
-    m = IDENTITY
+    a, b, c, d = 1, 0, 0, 1
     for tok in w.tokens:
-        m = m * (S_MAT if tok[0] == "S" else t_power(tok[1]))
-    return m if w.sign == 1 else m.neg()
-
-
-def row_map(m: Mat2, level: Level) -> tuple[Residue, Residue]:
-    """Bottom row (c, d) reduced mod N, in symmetric form."""
-    return (sym_rep(m.c, level), sym_rep(m.d, level))
+        if tok[0] == "S":
+            a, b, c, d = b, -a, d, -c
+        else:
+            b, d = b + tok[1] * a, d + tok[1] * c
+    s = w.sign
+    return Mat2(s * a, s * b, s * c, s * d)
 
 
 # ---------------------------------------------------------------------------
@@ -213,47 +199,15 @@ def mobius_cusp(m: Mat2) -> Cusp:
     return cusp(m.a, m.c)
 
 
-def parse_cusp(s: str) -> Cusp:
-    if s in ("oo", "inf", "infinity"):
-        return INFINITY
-    p, _, q = s.partition("/")
-    return cusp(int(p), int(q) if q else 1)
-
-
-# ---------------------------------------------------------------------------
-# membership tests for the congruence subgroups
-
-
-def in_gamma0(m: Mat2, level: Level) -> bool:
-    return m.c % level.n == 0
-
-
-def in_pm_gamma1(m: Mat2, level: Level) -> bool:
-    """Membership in (+-I) Gamma_1(N)."""
-    n = level.n
-    if m.c % n != 0:
-        return False
-    return (m.a % n == 1 and m.d % n == 1) or (
-        m.a % n == n - 1 and m.d % n == n - 1
-    )
-
-
-def in_gammaN(m: Mat2, level: Level) -> bool:
-    n = level.n
-    return (
-        m.a % n == 1 and m.d % n == 1 and m.b % n == 0 and m.c % n == 0
-    )
-
-
 # ---------------------------------------------------------------------------
 # PSL2 normalization
 
 
+def psl_sign(a: int, b: int, c: int, d: int) -> int:
+    """The sign making the first nonzero of (c, d, a, b) positive."""
+    return 1 if (c or d or a or b) > 0 else -1
+
+
 def psl_normalize(m: Mat2) -> Mat2:
     """m or -m, whichever has the first nonzero of (c, d, a, b) positive."""
-    for x in (m.c, m.d, m.a, m.b):
-        if x > 0:
-            return m
-        if x < 0:
-            return m.neg()
-    raise AssertionError("zero matrix cannot have determinant 1")
+    return m if psl_sign(m.a, m.b, m.c, m.d) > 0 else m.neg()

@@ -1,15 +1,49 @@
-"""Independent brute-force oracles used by the tests.
+"""Independent brute-force oracles and helpers used by the tests.
 
 These deliberately avoid the library's fast paths: cusp equivalence is
 decided through the double-coset structure (translate by T^k and
 compare projective keys) and by bounded matrix search, widths through
 the unipotent stabilizer, and projective data through raw enumeration.
+Group membership is read off the entries mod N directly.
 """
 
 from math import gcd
 
-from fundom.residues import Level
-from fundom.words import Cusp, Mat2, cusp
+from fundom.residues import Level, Residue, sym_rep
+from fundom.words import INFINITY, Cusp, Mat2, cusp
+
+
+def row_map(m: Mat2, level: Level) -> tuple[Residue, Residue]:
+    """Bottom row (c, d) reduced mod N, in symmetric form."""
+    return (sym_rep(m.c, level), sym_rep(m.d, level))
+
+
+def parse_cusp(s: str) -> Cusp:
+    if s in ("oo", "inf", "infinity"):
+        return INFINITY
+    p, _, q = s.partition("/")
+    return cusp(int(p), int(q) if q else 1)
+
+
+def in_gamma0(m: Mat2, level: Level) -> bool:
+    return m.c % level.n == 0
+
+
+def in_pm_gamma1(m: Mat2, level: Level) -> bool:
+    """Membership in (+-I) Gamma_1(N)."""
+    n = level.n
+    if m.c % n != 0:
+        return False
+    return (m.a % n == 1 and m.d % n == 1) or (
+        m.a % n == n - 1 and m.d % n == n - 1
+    )
+
+
+def in_gammaN(m: Mat2, level: Level) -> bool:
+    n = level.n
+    return (
+        m.a % n == 1 and m.d % n == 1 and m.b % n == 0 and m.c % n == 0
+    )
 
 
 def bezout_to_cusp(c: Cusp) -> Mat2:

@@ -24,7 +24,13 @@ from fundom.projline import big_m, m_table, normalize
 from fundom.residues import Level, inv_mod, sym_rep
 from fundom.words import Cusp, IDENTITY, cusp, evaluate, make_word, st
 
-from oracles import oracle_cusp_equivalent, oracle_width
+from oracles import (
+    in_gamma0,
+    in_gammaN,
+    in_pm_gamma1,
+    oracle_cusp_equivalent,
+    oracle_width,
+)
 from test_projline import H30_TABLE
 
 L30 = Level(30)
@@ -112,7 +118,7 @@ def test_criterion_5_cusp_tables_n30():
     done("criterion 5: N=30 cusp multiplicity and width tables")
 
 
-SWEEP = range(2, 61)
+SWEEP = range(2, 101)
 FULL_CAP = 20
 
 
@@ -132,7 +138,7 @@ def test_criterion_6_connectivity_sweep():
             lst.group,
             lst.level.n,
         )
-    done("criterion 6: connectivity for 2 <= N <= 60 (Gamma(N) to 20)")
+    done("criterion 6: connectivity for 2 <= N <= 100 (Gamma(N) to 20)")
 
 
 def test_criterion_7_coset_verification_sweep():
@@ -169,7 +175,7 @@ def test_criterion_9_property_suites():
             assert big_m(a, b, lvl) == big_m(u * a, u * b, lvl)
             assert big_m(a, b, lvl) < n
         checked += 1
-    # gap-free property for all (j, m < M_j), N <= 60
+    # gap-free property for all (j, m < M_j), N <= 100
     for n in SWEEP:
         lvl = Level(n)
         for j, mj in m_table(lvl).entries.items():
@@ -201,8 +207,6 @@ def test_criterion_9_property_suites():
     assert evaluate(s * s) == IDENTITY.neg()
     stw = s * make_word(("T", 1))
     assert evaluate(stw * stw * stw) == IDENTITY.neg()
-    from fundom.words import in_gamma0, in_gammaN, in_pm_gamma1
-
     for n in (2, 6, 8, 12):
         lvl = Level(n)
         for w in theta_full(Level(2)).reps + [

@@ -2,14 +2,30 @@ import pytest
 
 from fundom.cayley import (
     DuplicateVertex,
+    SpanningTree,
     build_graph,
     is_connected,
     spanning_tree,
     to_dot,
 )
-from fundom.cosets import CosetList, Group, gamma1_quotient_reps, theta0, theta1
+from fundom.cosets import (
+    CosetList,
+    Group,
+    build,
+    gamma1_quotient_reps,
+    theta0,
+    theta1,
+)
 from fundom.residues import Level
-from fundom.words import make_word, st
+from fundom.words import (
+    S_MAT,
+    T_MAT,
+    Mat2,
+    evaluate,
+    make_word,
+    psl_normalize,
+    st,
+)
 
 
 def list_of(words, n=6, group=Group.GAMMA0):
@@ -81,6 +97,60 @@ def test_spanning_tree_depth_bound():
     tree = spanning_tree(g)
     mt_max = 3  # max M_j at N = 30
     assert tree.depth() <= lvl.n1 + 1 + mt_max + 1
+
+
+def test_spanning_tree_depth_of_deep_path():
+    # a 5000-long path listed deepest-first, past any recursion limit
+    tree = SpanningTree(0, {v: v - 1 for v in range(5000, 0, -1)})
+    assert tree.depth() == 5000
+    branched = SpanningTree(0, {3: 2, 2: 0, 1: 0, 4: 1, 5: 2})
+    assert branched.depth() == 2
+
+
+def _reference_adj(lst):
+    """Adjacency by Mat2 products with S, T, T^-1 and psl_normalize."""
+    mats = [psl_normalize(m) for m in lst.mats]
+    index = {m.entries(): i for i, m in enumerate(mats)}
+    adj = []
+    for i, m in enumerate(mats):
+        nbrs = []
+        for gen in (S_MAT, T_MAT, Mat2(1, -1, 0, 1)):
+            j = index.get(psl_normalize(m * gen).entries())
+            if j is not None and j != i and j not in nbrs:
+                nbrs.append(j)
+        adj.append(nbrs)
+    return adj
+
+
+@pytest.mark.parametrize(
+    "group, n",
+    [(Group.GAMMA0, n) for n in (2, 6, 30, 64)]
+    + [(Group.GAMMA1, n) for n in (2, 8, 21)]
+    + [(Group.GAMMA_FULL, n) for n in (2, 6, 9)],
+)
+def test_adjacency_matches_matrix_products(group, n):
+    lst = build(Level(n), group)
+    assert build_graph(lst).adj == _reference_adj(lst)
+
+
+def test_one_checked_matrix_per_word(monkeypatch):
+    lst = build(Level(12), Group.GAMMA1)
+    words = lst.reps + [make_word(("S",), sign=-1), make_word()]
+    built = []
+    check = Mat2.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(Mat2, "__post_init__", counting)
+    for w in words:
+        evaluate(w)
+    assert len(built) == len(words)
+    assert len(lst.mats) == len(lst)  # evaluated before counting the graph
+    built.clear()
+    g = build_graph(lst)
+    assert len(built) <= len(g)
 
 
 def test_explicit_paper_paths_exist():

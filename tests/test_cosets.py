@@ -13,15 +13,9 @@ from fundom.cosets import (
 )
 from fundom.projline import big_m, enumerate_p1, normalize
 from fundom.residues import Level
-from fundom.words import (
-    evaluate,
-    in_gamma0,
-    in_gammaN,
-    in_pm_gamma1,
-    mobius_cusp,
-    parse_word,
-    row_map,
-)
+from fundom.words import evaluate, mobius_cusp, parse_word
+
+from oracles import in_gamma0, in_gammaN, in_pm_gamma1, row_map
 
 
 def words_of(lst):

@@ -1,7 +1,10 @@
-"""Golden outputs: sha256 of every CLI output format at N = 6 and 30.
+"""Golden outputs: sha256 of every CLI output format at N = 6 and 30,
+and of the list, render and graph outputs of Gamma_0/Gamma_1 at N = 64.
 
-The digests were taken before the P^1 table, the cusp-table rows and the
-renderers were refactored; any change of a byte in these outputs fails.
+The N = 6 and 30 digests were taken before the P^1 table, the cusp-table
+rows and the renderers were refactored, the N = 64 ones before words,
+cosets and the generator graph moved to plain-int arithmetic; any change
+of a byte in these outputs fails.
 """
 
 import hashlib
@@ -107,6 +110,22 @@ GOLDEN = {
         "01cace34a0be8c2645cf9732c2d3536ef64ae78c883d26ec38158f7022bf3304",
     "graph --N 30 --tree-only":
         "050368a62234044f20ea81d2e557b2fd909bf62cc78cfdf4dfffc869f8866d82",
+    "list --N 64 --group gamma0 --format json":
+        "e91684972d8743fee10023d452c8481c881c7db99c163f8e2c2e5f01179c5ad4",
+    "render --N 64 --group gamma0 --format svg":
+        "0598670c8983bfd08617498707397a4828a336ed245353da826b806f7f04d219",
+    "render --N 64 --group gamma0 --format json":
+        "775bbba89683719be9d8dd6e7d118175f25ffc786cfb68605f7ac28f47c1a02c",
+    "graph --N 64 --group gamma0":
+        "26b60dfc6f8c32610d11d8538dbe4aeddf290fb90c15b496f24c57111e44f753",
+    "list --N 64 --group gamma1 --format json":
+        "25d9ea9c8c21a2f1d9a0c638b4602513fb98cbb98bd4a1e7ad448573cc89d0b3",
+    "render --N 64 --group gamma1 --format svg":
+        "cb1ed1ce582cd20904082b99de26a495443f8eaa2a3ae5faba8150ee286664a2",
+    "render --N 64 --group gamma1 --format json":
+        "f4759a08d37bbb798aa87b41dcd91e96f088712171f3ca4e518da131a1d137bf",
+    "graph --N 64 --group gamma1":
+        "c35c079991b70c3f4b02798b810aa39ba423ea126574292b4b208a40579fba58",
 }
 
 

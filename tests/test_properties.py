@@ -5,12 +5,18 @@ from hypothesis import given, settings, strategies as stst
 from fundom.projline import big_m, m_table, normalize
 from fundom.residues import Level, gcd_with_level, inv_mod, is_unit, sym_rep
 from fundom.words import (
+    IDENTITY,
+    S_MAT,
+    GroupWord,
+    Mat2,
     evaluate,
     make_word,
     parse_word,
     psl_normalize,
     st,
 )
+
+from oracles import in_gamma0, in_gammaN, in_pm_gamma1
 
 levels = stst.integers(min_value=2, max_value=120).map(Level)
 
@@ -26,7 +32,8 @@ def test_sym_rep_in_window_and_congruent(level, x):
 def test_inverse_of_units(level, x):
     r = sym_rep(x, level)
     if is_unit(r):
-        assert (r * inv_mod(r)).value == level.reduce(1)
+        product = r.value * inv_mod(r).value
+        assert sym_rep(product, level).value == level.reduce(1)
     else:
         assert gcd_with_level(r) > 1
 
@@ -90,13 +97,24 @@ def _distinct_prime_count(n):
     return count + (1 if n > 1 else 0)
 
 
-words = stst.lists(
+# unmerged tokens, T^0 included; GroupWord merges them
+raw_tokens = stst.lists(
     stst.one_of(
         stst.just(("S",)),
-        stst.integers(-6, 6).filter(bool).map(lambda e: ("T", e)),
+        stst.integers(-6, 6).map(lambda e: ("T", e)),
     ),
     max_size=8,
-).map(lambda toks: make_word(*toks))
+)
+words = raw_tokens.map(lambda toks: make_word(*toks))
+
+
+@given(raw_tokens, stst.sampled_from((1, -1)))
+def test_evaluate_matches_generator_product(tokens, sign):
+    m = IDENTITY
+    for tok in tokens:
+        m = m * (S_MAT if tok[0] == "S" else Mat2(1, tok[1], 0, 1))
+    expected = m if sign == 1 else m.neg()
+    assert evaluate(GroupWord(tuple(tokens), sign)) == expected
 
 
 @given(words, words)
@@ -125,8 +143,6 @@ def test_psl_idempotent_and_sign_blind(w):
 
 @given(levels, words)
 def test_membership_chain(level, w):
-    from fundom.words import in_gamma0, in_gammaN, in_pm_gamma1
-
     m = evaluate(w)
     if in_gammaN(m, level):
         assert in_pm_gamma1(m, level)
@@ -138,7 +154,6 @@ def test_membership_chain(level, w):
 def test_coset_keys_match_membership(level, w):
     # the verification keys and the membership predicates agree
     from fundom.cosets import Group, _coset_key
-    from fundom.words import in_gamma0, in_gammaN, in_pm_gamma1
 
     m = evaluate(w)
     g = evaluate(st(1) * make_word(("S",)))  # an arbitrary fixed element

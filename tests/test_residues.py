@@ -69,7 +69,8 @@ def test_inv_mod_roundtrip():
         for a in range(-lvl.n1, lvl.n2 + 1):
             r = sym_rep(a, lvl)
             if gcd_with_level(r) == 1:
-                assert (r * inv_mod(r)).value == sym_rep(1, lvl).value
+                product = r.value * inv_mod(r).value
+                assert sym_rep(product, lvl).value == sym_rep(1, lvl).value
             else:
                 with pytest.raises(NotAUnit):
                     inv_mod(r)

@@ -10,18 +10,15 @@ from fundom.words import (
     T_MAT,
     cusp,
     evaluate,
-    in_gamma0,
-    in_gammaN,
-    in_pm_gamma1,
     make_word,
     mobius_cusp,
-    parse_cusp,
     parse_word,
     psl_normalize,
-    row_map,
     st,
     word_identity,
 )
+
+from oracles import in_gamma0, in_gammaN, in_pm_gamma1, parse_cusp, row_map
 
 L6 = Level(6)
 L8 = Level(8)
@@ -50,6 +47,17 @@ def test_word_merging_and_signs():
     assert w.tokens == (("S",),)
     neg = GroupWord((("S",),), sign=-1)
     assert evaluate(neg) == S_MAT.neg()
+
+
+def test_group_word_normalizes_unmerged_tokens():
+    raw = (("T", 2), ("T", -2), ("S",), ("T", 0), ("T", 1), ("T", 2))
+    w = GroupWord(raw, sign=-1)
+    assert w.tokens == (("S",), ("T", 3))
+    assert w == make_word(("S",), ("T", 3), sign=-1)
+    assert GroupWord([("T", 0)]) == word_identity()
+    assert hash(GroupWord([("S",), ("T", 1)])) == hash(st(1))
+    with pytest.raises(ValueError):
+        GroupWord((("S",),), sign=2)
 
 
 def test_word_serialization_roundtrip():
@@ -147,6 +155,14 @@ def test_membership_chain():
             assert in_pm_gamma1(m, lvl)
         if in_pm_gamma1(m, lvl):
             assert in_gamma0(m, lvl)
+
+
+def test_psl_normalize_keeps_normalized_matrix():
+    for m in (S_MAT, T_MAT, IDENTITY, evaluate(st(3) * st(2))):
+        n = psl_normalize(m)
+        assert psl_normalize(n) is n
+    m = Mat2(0, 1, -1, 0)
+    assert psl_normalize(m) is not m
 
 
 def test_psl_normalize():
