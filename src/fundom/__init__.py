@@ -1,10 +1,8 @@
 """Coset representatives and connected fundamental domains for the
 congruence subgroups of SL2(Z)."""
 
-from .residues import Level, Residue, sym_rep, gcd_with_level, inv_mod, NotAUnit
+from .residues import Level, gcd_with_level, inv_mod, NotAUnit
 from .projline import (
-    ProjPoint,
-    PointKind,
     big_m,
     enumerate_p1,
     m_distribution,

@@ -2,9 +2,10 @@
 
 Subcommands: list, verify, mtable, cusps, render, graph.  Every emit
 command verifies its list first (disable with --no-verify, which
-watermarks the output).  Exit codes: 0 ok; 1 failed verification or
-unreadable/malformed input; 2 usage error, including an empty sweep and
-a --N that disagrees with the loaded file.
+watermarks the output).  Exit codes: 0 ok; 1 failed verification,
+unreadable/malformed input, or output that cannot be written (such as
+a pipe whose reader closed early); 2 usage error, including an empty
+sweep and a --N that disagrees with the loaded file.
 """
 
 from __future__ import annotations
@@ -253,6 +254,19 @@ def main(argv=None) -> int:
                 "error: verify needs --N, --sweep or --load", file=sys.stderr
             )
             return 2
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early; point stdout at devnull so the
+        # flush at exit stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output closed before it was written", file=sys.stderr)
+        return 1
+    return code
+
+
+def _run(args) -> int:
     try:
         args.func(args)
     except SystemExit as exc:

@@ -22,7 +22,7 @@ from enum import Enum
 from math import gcd
 
 from . import projline
-from .residues import Level, inv_mod, sym_rep
+from .residues import Level, inv_mod
 from .words import (
     GroupWord,
     Mat2,
@@ -101,7 +101,7 @@ def _unit_ks(level: Level):
 
 
 def theta0(level: Level) -> CosetList:
-    reps = [st(i) for i in range(-level.n1, level.n2 + 1)]
+    reps = [st(i) for i in level.residues()]
     for j, mj in projline.m_table(level).entries.items():  # nonunit j
         for m in range(mj + 1):
             reps.append(st(j) * st(m))
@@ -113,7 +113,7 @@ def gamma1_quotient_reps(level: Level) -> list[GroupWord]:
     Gamma_0(N) by (+-I) Gamma_1(N)."""
     reps = [word_identity()]
     for k in _unit_ks(level):
-        kinv = inv_mod(sym_rep(k, level)).value
+        kinv = inv_mod(k, level)
         reps.append(st(k) * st(kinv) * make_word(("S",)))
     return reps
 
@@ -122,8 +122,8 @@ def theta1(level: Level) -> CosetList:
     mt = projline.m_table(level)
     reps = list(theta0(level).reps)
     for k in _unit_ks(level):
-        kinv = inv_mod(sym_rep(k, level)).value
-        for i in range(-level.n1, level.n2 + 1):
+        kinv = inv_mod(k, level)
+        for i in level.residues():
             reps.append(st(k) * st(i))
         for j, mj in mt.entries.items():
             x = level.reduce(kinv + j)
@@ -134,11 +134,8 @@ def theta1(level: Level) -> CosetList:
 
 def theta_full(level: Level) -> CosetList:
     inner = theta1(level).reps
-    reps = [
-        make_word(("T", ell)) * w
-        for ell in range(-level.n1, level.n2 + 1)
-        for w in inner
-    ]
+    shifts = [make_word(("T", ell)) for ell in level.residues()]
+    reps = [t * w for t in shifts for w in inner]
     return CosetList(level, Group.GAMMA_FULL, reps)
 
 
@@ -174,13 +171,12 @@ def _coset_key(m: Mat2, level: Level, group: Group):
     """
     n = level.n
     if group is Group.GAMMA0:
-        _, a, b, _ = projline._preferred(m.c, m.d, level)
-        return (a, b)
+        return projline.normalize(m.c, m.d, level)
     if group is Group.GAMMA1:
         row = (m.c % n, m.d % n)
         return min(row, ((-m.c) % n, (-m.d) % n))
-    ent = tuple(x % n for x in m.entries())
-    return min(ent, tuple((-x) % n for x in m.entries()))
+    a, b, c, d = m.a % n, m.b % n, m.c % n, m.d % n
+    return min((a, b, c, d), (-a % n, -b % n, -c % n, -d % n))
 
 
 def _expected_count(level: Level, group: Group) -> int:
@@ -256,9 +252,7 @@ def verify(coset_list: CosetList) -> VerificationReport:
 def _all_keys(level: Level, group: Group):
     n = level.n
     if group is Group.GAMMA0:
-        return {
-            (p.a.value, p.b.value) for p in projline.enumerate_p1(level)
-        }
+        return set(projline.enumerate_p1(level))
     keys = set()
     for c, d in _unit_rows(level):
         if group is Group.GAMMA1:

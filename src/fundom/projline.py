@@ -1,9 +1,12 @@
 """The projective line P^1(Z/NZ) and its preferred representatives.
 
 A class (a:b) with gcd(a,b,N)=1 is affine when gcd(a,N)=1 and at
-infinity otherwise.  Affine classes store (1, a^-1 b).  Classes at
-infinity store the unit-scaled pair (j, l) pinned down by M(j:l)*j - l
-= 1 mod N, where M(a:b) is the least m >= 0 with m*a - b a unit.
+infinity otherwise.  A class is named by its preferred representative,
+a pair of ints in the symmetric window: (1, a^-1 b) for an affine
+class, and for a class at infinity the unit-scaled pair (j, l) pinned
+down by M(j:l)*j - l = 1 mod N, where M(a:b) is the least m >= 0 with
+m*a - b a unit.  Two pairs lie in the same class iff `normalize` maps
+them to the same pair.
 
 Each level's classes are found once, by one scan, and kept as a tuple
 of plain ints that `enumerate_p1`, `psi`, `m_table` and `m_distribution`
@@ -14,11 +17,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from math import gcd
 
-from .residues import Level, Residue
+from .residues import Level
 
 _CACHED_LEVELS = 8
 
@@ -31,32 +33,13 @@ class NotInH(ValueError):
     """M is only defined on the classes at infinity."""
 
 
-class PointKind(Enum):
-    AFFINE = "affine"
-    INFINITY = "infinity"
-
-
-@dataclass(frozen=True, order=True)
-class ProjPoint:
-    """A class of P^1(Z/NZ) held by its preferred representative.
-
-    Structural equality of the stored pair is class equality.
-    """
-
-    level: Level
-    a: Residue
-    b: Residue
-    kind: PointKind
-
-
 def _check_class(a: int, b: int, n: int):
     if gcd(gcd(a, b), n) != 1:
         raise NotOnProjLine(f"gcd({a}, {b}, {n}) > 1")
 
 
-# class kinds in the cached table; affine sorts first, as in PointKind
+# class kinds in the cached table; affine sorts first
 _AFFINE, _INFINITY = 0, 1
-_KINDS = (PointKind.AFFINE, PointKind.INFINITY)
 
 
 def _preferred(a: int, b: int, level: Level) -> tuple:
@@ -91,7 +74,7 @@ def _classes(level: Level) -> tuple:
     the first is normalized, so M is found once per class.
     """
     n = level.n
-    window = range(-level.n1, level.n2 + 1)
+    window = level.residues()
     at_infinity, scanned = [], set()
     for a in window:
         g = gcd(a, n)
@@ -110,10 +93,6 @@ def _classes(level: Level) -> tuple:
     return tuple(affine + sorted(at_infinity))
 
 
-def _point(level: Level, kind: int, a: int, b: int, m: int) -> ProjPoint:
-    return ProjPoint(level, Residue(level, a), Residue(level, b), _KINDS[kind])
-
-
 def big_m(a: int, b: int, level: Level) -> int:
     """Least m >= 0 with m*a - b a unit mod N; defined on H only."""
     n = level.n
@@ -123,10 +102,11 @@ def big_m(a: int, b: int, level: Level) -> int:
     return _preferred(a, b, level)[3]
 
 
-def normalize(a: int, b: int, level: Level) -> ProjPoint:
-    """The preferred representative of the class (a:b)."""
+def normalize(a: int, b: int, level: Level) -> tuple[int, int]:
+    """The preferred representative of the class (a:b), as a pair."""
     _check_class(a, b, level.n)
-    return _point(level, *_preferred(a, b, level))
+    _, a, b, _ = _preferred(a, b, level)
+    return (a, b)
 
 
 @dataclass(frozen=True)
@@ -149,9 +129,10 @@ def m_table(level: Level) -> MTable:
     return MTable(level, entries)
 
 
-def enumerate_p1(level: Level) -> list[ProjPoint]:
-    """All classes of P^1(Z/NZ), affine part first, each exactly once."""
-    return [_point(level, *cls) for cls in _classes(level)]
+def enumerate_p1(level: Level) -> list[tuple[int, int]]:
+    """The preferred pair of every class of P^1(Z/NZ), affine part
+    first, each exactly once."""
+    return [(a, b) for _, a, b, _ in _classes(level)]
 
 
 def psi(level: Level) -> int:

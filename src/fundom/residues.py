@@ -1,8 +1,10 @@
 """Exact arithmetic mod N with the symmetric residue convention.
 
-Residues are always stored by their unique representative in the window
-[-N1, N2], where N1 = floor((N-1)/2) and N2 = floor(N/2).  The window is
-centered around zero so that downstream pictures come out centered too.
+A residue mod N is a plain int, taken as its unique representative in
+the window [-N1, N2], where N1 = floor((N-1)/2) and N2 = floor(N/2).
+The window is centered around zero so that downstream pictures come
+out centered too.  `Level` owns the convention: `reduce` maps an int
+into the window and `residues` lists the window.
 """
 
 from __future__ import annotations
@@ -38,43 +40,18 @@ class Level:
         r = x % self.n
         return r if r <= self.n2 else r - self.n
 
-    def residues(self):
+    def residues(self) -> range:
         """All residues at this level, in ascending window order."""
-        return [Residue(self, v) for v in range(-self.n1, self.n2 + 1)]
+        return range(-self.n1, self.n2 + 1)
 
 
-@dataclass(frozen=True, order=True)
-class Residue:
-    level: Level
-    value: int
-
-    def __post_init__(self):
-        if not -self.level.n1 <= self.value <= self.level.n2:
-            raise ValueError(
-                f"{self.value} outside symmetric window for N={self.level.n}"
-            )
-
-    def __int__(self) -> int:
-        return self.value
-
-
-def sym_rep(x: int, level: Level) -> Residue:
-    """The residue of x mod N in symmetric form."""
-    return Residue(level, level.reduce(x))
-
-
-def gcd_with_level(a: Residue) -> int:
+def gcd_with_level(a: int, level: Level) -> int:
     """gcd(a, N) as a positive integer in [1, N]; gcd(0, N) = N."""
-    g = gcd(a.value, a.level.n)
-    return g if g != 0 else a.level.n
+    return gcd(a, level.n)
 
 
-def is_unit(a: Residue) -> bool:
-    return gcd_with_level(a) == 1
-
-
-def inv_mod(a: Residue) -> Residue:
+def inv_mod(a: int, level: Level) -> int:
     """Inverse of a unit mod N, in symmetric form."""
-    if not is_unit(a):
-        raise NotAUnit(f"{a.value} is not a unit mod {a.level.n}")
-    return sym_rep(pow(a.value, -1, a.level.n), a.level)
+    if gcd(a, level.n) != 1:
+        raise NotAUnit(f"{a} is not a unit mod {level.n}")
+    return level.reduce(pow(a, -1, level.n))

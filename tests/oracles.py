@@ -9,13 +9,13 @@ Group membership is read off the entries mod N directly.
 
 from math import gcd
 
-from fundom.residues import Level, Residue, sym_rep
+from fundom.residues import Level
 from fundom.words import INFINITY, Cusp, Mat2, cusp
 
 
-def row_map(m: Mat2, level: Level) -> tuple[Residue, Residue]:
+def row_map(m: Mat2, level: Level) -> tuple[int, int]:
     """Bottom row (c, d) reduced mod N, in symmetric form."""
-    return (sym_rep(m.c, level), sym_rep(m.d, level))
+    return (level.reduce(m.c), level.reduce(m.d))
 
 
 def parse_cusp(s: str) -> Cusp:

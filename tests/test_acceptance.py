@@ -21,7 +21,7 @@ from fundom.cosets import (
 )
 from fundom.domain import cusp_class_rep, cusp_equivalent, cusp_table, cusp_width, cusps_of
 from fundom.projline import big_m, m_table, normalize
-from fundom.residues import Level, inv_mod, sym_rep
+from fundom.residues import Level, inv_mod
 from fundom.words import Cusp, IDENTITY, cusp, evaluate, make_word, st
 
 from oracles import (
@@ -77,7 +77,7 @@ def test_criterion_3_h_class_table_n30():
     assert len(H30_TABLE) == 20
     for m, pr, member in H30_TABLE:
         p = normalize(*member, L30)
-        assert (p.a.value, p.b.value) == pr
+        assert p == pr
         assert big_m(*member, L30) == m
     done("criterion 3: 20-row H-class table for N=30")
 
@@ -86,9 +86,9 @@ def test_criterion_4_gamma1_8_structure():
     done = _timed(1.0)
     reps = [str(w) for w in gamma1_quotient_reps(Level(8))]
     assert reps == ["I", "ST^-3ST^-3S"]
-    kinv = inv_mod(sym_rep(-3, Level(8))).value
+    kinv = inv_mod(-3, Level(8))
     assert kinv == -3
-    tildes = [sym_rep(kinv + j, Level(8)).value for j in (-2, 0, 2, 4)]
+    tildes = [Level(8).reduce(kinv + j) for j in (-2, 0, 2, 4)]
     assert tildes == [3, -3, -1, 1]
     done("criterion 4: Gamma_1(8) quotient reps and tilde exponents")
 
@@ -184,7 +184,7 @@ def test_criterion_9_property_suites():
                 if gcd(gcd(j, ell), n) != 1:
                     continue
                 p = normalize(j, ell, lvl)
-                if (p.a.value, p.b.value) == (j, ell):
+                if p == (j, ell):
                     realized.add(big_m(j, ell, lvl))
             assert realized == set(range(mj + 1)), (n, j)
     # prime-power M = 0 and two-prime-factor M <= 1, N <= 200

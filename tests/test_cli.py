@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fundom
 from fundom.cli import main
 from fundom.cosets import theta0, verify
 from fundom.residues import Level
@@ -218,3 +223,24 @@ def test_out_dir_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FUNDOM_OUT_DIR", str(tmp_path))
     run(capsys, "mtable", "--N", "6", "--out", "m.txt")
     assert (tmp_path / "m.txt").exists()
+
+
+def test_reader_closing_early_exits_1_without_traceback():
+    env = dict(os.environ, PYTHONPATH=str(Path(fundom.__file__).parents[1]))
+    # unbuffered stdout drops the rest of a short write silently; the
+    # default buffered stdout is the one that must fail closed
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys; from fundom.cli import main; sys.exit(main())",
+         "render", "--N", "20", "--group", "gammaN"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()  # the SVG is about 700 kB, far beyond a pipe buffer
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert len(head) == 100
+    assert "Traceback" not in err
+    assert err.startswith("error:")

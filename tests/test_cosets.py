@@ -13,9 +13,15 @@ from fundom.cosets import (
 )
 from fundom.projline import big_m, enumerate_p1, normalize
 from fundom.residues import Level
-from fundom.words import evaluate, mobius_cusp, parse_word
+from fundom.words import evaluate, make_word, mobius_cusp, parse_word
 
-from oracles import in_gamma0, in_gammaN, in_pm_gamma1, row_map
+from oracles import (
+    brute_p1_classes,
+    in_gamma0,
+    in_gammaN,
+    in_pm_gamma1,
+    row_map,
+)
 
 
 def words_of(lst):
@@ -48,11 +54,8 @@ def test_theta0_bijection_onto_p1():
         lst = theta0(lvl)
         images = set()
         for m in lst.mats:
-            p = normalize(m.c, m.d, lvl)
-            images.add((p.a.value, p.b.value))
-        expected = {
-            (p.a.value, p.b.value) for p in enumerate_p1(lvl)
-        }
+            images.add(normalize(m.c, m.d, lvl))
+        expected = set(enumerate_p1(lvl))
         assert images == expected
         assert len(images) == len(lst)
 
@@ -67,10 +70,10 @@ def test_theta0_rows_are_preferred_with_matching_m():
         m = tokens[-1][1] if tokens[-1][0] == "T" else 0
         mat = evaluate(w)
         c, d = row_map(mat, lvl)
-        p = normalize(c.value, d.value, lvl)
-        assert (p.a.value, p.b.value) == (c.value, d.value)
-        assert big_m(c.value, d.value, lvl) == m
-        assert c.value == lvl.reduce(j)
+        p = normalize(c, d, lvl)
+        assert p == (c, d)
+        assert big_m(c, d, lvl) == m
+        assert c == lvl.reduce(j)
 
 
 def test_gamma1_quotient_reps():
@@ -192,6 +195,77 @@ def test_verify_catches_omission():
     with pytest.raises(VerificationFailed) as err:
         verify(full)
     assert err.value.report.missing
+
+
+REPORT_CASES = [(Group.GAMMA0, 6), (Group.GAMMA1, 8), (Group.GAMMA_FULL, 5)]
+
+
+def _key_mod_n(m, group, n):
+    """The coset key of Gamma_1 / Gamma(N), read off the entries mod N
+    up to a global sign."""
+    ent = (m.c, m.d) if group is Group.GAMMA1 else m.entries()
+    return min(tuple(x % n for x in ent), tuple(-x % n for x in ent))
+
+
+def _failure_report(lst):
+    with pytest.raises(VerificationFailed) as err:
+        verify(lst)
+    assert not lst.verified
+    return err.value.report
+
+
+@pytest.mark.parametrize("group, n", REPORT_CASES)
+def test_report_names_the_one_missing_coset(group, n):
+    full = build(Level(n), group)
+    i = len(full) // 2
+    dropped = full.mats[i]
+    lst = CosetList(full.level, group, full.reps[:i] + full.reps[i + 1:])
+    report = _failure_report(lst)
+    assert (report.count, report.expected) == (len(full) - 1, len(full))
+    assert report.duplicates == []
+    assert len(report.missing) == 1
+    key = report.missing[0]
+    if group is Group.GAMMA0:
+        # the missing pair lies in the orbit of the dropped bottom row
+        row = (dropped.c % n, dropped.d % n)
+        (orbit,) = [o for o in brute_p1_classes(n) if row in o]
+        assert (key[0] % n, key[1] % n) in orbit
+    else:
+        assert key == _key_mod_n(dropped, group, n)
+
+
+@pytest.mark.parametrize("group, n", REPORT_CASES)
+def test_report_names_both_words_of_a_duplicate(group, n):
+    lst = build(Level(n), group)
+    w = lst.reps[len(lst) // 2]
+    # T^N lies in all three groups, so T^N w is a new word in w's coset
+    twin = make_word(("T", n)) * w
+    assert str(twin) != str(w)
+    lst.reps.append(twin)
+    report = _failure_report(lst)
+    assert report.missing == []
+    assert len(report.duplicates) == 1
+    first, second, key = report.duplicates[0]
+    assert (first, second) == (w, twin)
+    m = evaluate(w)
+    if group is Group.GAMMA0:
+        assert key == normalize(m.c, m.d, Level(n))
+    else:
+        assert key == _key_mod_n(m, group, n)
+
+
+def test_report_text():
+    full = theta0(Level(6))
+    report = _failure_report(CosetList(full.level, full.group, full.reps[1:]))
+    assert str(report) == (
+        "gamma0 N=6: FAIL, 11 reps, 12 cosets\n  missing coset (1, -2)"
+    )
+    lst = theta_full(Level(5))
+    lst.reps.append(make_word(("T", 5)) * lst.reps[len(lst) // 2])
+    assert str(_failure_report(lst)) == (
+        "gammaN N=5: FAIL, 61 reps, 60 cosets\n"
+        "  duplicate coset (1, 3, 2, 2): ST^-2ST^-2 vs T^5ST^-2ST^-2"
+    )
 
 
 def test_verify_agrees_with_pairwise_membership():

@@ -8,7 +8,6 @@ from fundom.domain import cusp_table
 from fundom.projline import (
     NotInH,
     NotOnProjLine,
-    PointKind,
     big_m,
     enumerate_p1,
     m_distribution,
@@ -50,12 +49,12 @@ H30_TABLE = [
 
 def test_normalize_examples():
     p = normalize(2, 3, L30)
-    assert (p.a.value, p.b.value) == (-2, -3)
+    assert p == (-2, -3)
     p = normalize(5, 2, L30)
-    assert (p.a.value, p.b.value) == (5, 14)
+    assert p == (5, 14)
     p = normalize(7, 0, L30)
-    assert (p.a.value, p.b.value) == (1, 0)
-    assert p.kind is PointKind.AFFINE
+    assert p == (1, 0)
+    assert gcd(p[0], 30) == 1
 
 
 def test_normalize_rejects_non_classes():
@@ -79,9 +78,9 @@ def test_big_m_rejects_affine():
 def test_h30_golden_table():
     for m, pr, member in H30_TABLE:
         p = normalize(*member, L30)
-        assert (p.a.value, p.b.value) == pr
+        assert p == pr
         assert big_m(*member, L30) == m
-        assert p.kind is PointKind.INFINITY
+        assert gcd(p[0], 30) > 1
 
 
 def test_m_table_n6_n8():
@@ -106,13 +105,12 @@ def test_enumerate_p1_counts():
     points = enumerate_p1(L30)
     assert len(points) == 72
     both_nonunit = [
-        p
-        for p in points
-        if p.kind is PointKind.INFINITY and gcd(p.b.value, 30) > 1
+        (a, b) for a, b in points if gcd(a, 30) > 1 and gcd(b, 30) > 1
     ]
     assert len(both_nonunit) == 20
-    affine = [p for p in points if p.kind is PointKind.AFFINE]
+    affine = [(a, b) for a, b in points if gcd(a, 30) == 1]
     assert len(affine) == 30
+    assert all(a == 1 for a, _ in affine)
 
 
 def test_enumerate_p1_small_against_brute_force():
@@ -121,16 +119,13 @@ def test_enumerate_p1_small_against_brute_force():
         classes = brute_p1_classes(n)
         assert len(points) == len(classes)
         # each stored pair belongs to exactly one brute-force orbit
-        for p in points:
-            pair = (p.a.value % n, p.b.value % n)
+        for a, b in points:
+            pair = (a % n, b % n)
             assert sum(1 for orbit in classes if pair in orbit) == 1
 
 
 def test_enumerate_p1_n2():
-    pairs = {
-        (p.a.value, p.b.value) for p in enumerate_p1(Level(2))
-    }
-    assert pairs == {(1, 0), (1, 1), (0, 1)}
+    assert set(enumerate_p1(Level(2))) == {(1, 0), (1, 1), (0, 1)}
 
 
 def _prime_factors(n):
@@ -168,9 +163,8 @@ def test_m_distribution_examples():
 def test_defining_identity():
     for n in (6, 8, 12, 30):
         lvl = Level(n)
-        for p in enumerate_p1(lvl):
-            if p.kind is PointKind.INFINITY:
-                j, ell = p.a.value, p.b.value
+        for j, ell in enumerate_p1(lvl):
+            if gcd(j, n) > 1:
                 assert (big_m(j, ell, lvl) * j - ell) % n == 1 % n
 
 
@@ -185,7 +179,7 @@ def test_gap_free_property():
                     p = normalize(j, ell, lvl)
                 except NotOnProjLine:
                     continue
-                if p.a.value == j and p.b.value == ell:
+                if p == (j, ell):
                     found.add(big_m(j, ell, lvl))
             assert found == set(range(mj + 1))
 

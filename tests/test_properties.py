@@ -3,7 +3,7 @@ from math import gcd
 from hypothesis import given, settings, strategies as stst
 
 from fundom.projline import big_m, m_table, normalize
-from fundom.residues import Level, gcd_with_level, inv_mod, is_unit, sym_rep
+from fundom.residues import Level, gcd_with_level, inv_mod
 from fundom.words import (
     IDENTITY,
     S_MAT,
@@ -23,19 +23,20 @@ levels = stst.integers(min_value=2, max_value=120).map(Level)
 
 @given(levels, stst.integers(-10**6, 10**6))
 def test_sym_rep_in_window_and_congruent(level, x):
-    r = sym_rep(x, level)
-    assert -level.n1 <= r.value <= level.n2
-    assert (r.value - x) % level.n == 0
+    r = level.reduce(x)
+    assert -level.n1 <= r <= level.n2
+    assert (r - x) % level.n == 0
 
 
 @given(levels, stst.integers(-10**4, 10**4))
 def test_inverse_of_units(level, x):
-    r = sym_rep(x, level)
-    if is_unit(r):
-        product = r.value * inv_mod(r).value
-        assert sym_rep(product, level).value == level.reduce(1)
+    r = level.reduce(x)
+    if gcd(r, level.n) == 1:
+        product = r * inv_mod(r, level)
+        assert level.reduce(product) == level.reduce(1)
+        assert inv_mod(x, level) == inv_mod(r, level)
     else:
-        assert gcd_with_level(r) > 1
+        assert gcd_with_level(r, level) > 1
 
 
 @settings(max_examples=300)

@@ -95,10 +95,10 @@ def test_determinant_enforced():
 
 
 def test_row_map():
-    assert tuple(r.value for r in row_map(evaluate(st(2)), L6)) == (1, 2)
+    assert row_map(evaluate(st(2)), L6) == (1, 2)
     m = evaluate(st(3) * st(1))
-    assert tuple(r.value for r in row_map(m, L6)) == (3, 2)
-    assert tuple(r.value for r in row_map(IDENTITY, L6)) == (0, 1)
+    assert row_map(m, L6) == (3, 2)
+    assert row_map(IDENTITY, L6) == (0, 1)
 
 
 def test_mobius_cusp():
