@@ -1,44 +1,46 @@
 """The generator graph on a representative list, in PSL2(Z).
 
-Vertices are the PSL2-normalized matrices of the list; two vertices are
-adjacent when one is the other times S, T or T^-1.  Connectivity of
-this graph certifies connectivity of the corresponding union of
-translated triangles.
+Vertices are the PSL2-normalized matrices of the list, as 4-tuples
+(a, b, c, d); two vertices are adjacent when one is the other times S,
+T or T^-1.  Connectivity of this graph certifies connectivity of the
+corresponding union of translated triangles.
 
 The neighbours of m = (a, b, c, d) are found on plain ints, in the order
 m*S = (b, -a, d, -c), m*T = (a, a + b, c, c + d), m*T^-1 = (a, b - a,
-c, d - c).
+c, d - c).  For a normalized m, m*T and m*T^-1 keep (c, d) and so stay
+normalized, and m*S is normalized exactly when d > 0.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .cosets import CosetList
-from .words import GroupWord, Mat2, S_MAT, psl_normalize, psl_sign
+from .words import GroupWord
 
 
 class DuplicateVertex(ValueError):
     """Two representatives normalize to the same PSL2 element."""
 
 
+_S_KEY = (0, -1, 1, 0)  # S, PSL2-normalized
+
+
 @dataclass
 class CayleyGraph:
     words: list[GroupWord]
-    mats: list[Mat2]  # PSL2-normalized
+    keys: list[tuple]  # PSL2-normalized (a, b, c, d)
     adj: list[list[int]]
 
     def __len__(self):
-        return len(self.mats)
+        return len(self.keys)
 
     def default_root(self) -> int:
         """First vertex equal to S in PSL2, else vertex 0."""
-        s_key = psl_normalize(S_MAT).entries()
-        for i, m in enumerate(self.mats):
-            if m.entries() == s_key:
-                return i
-        return 0
+        try:
+            return self.keys.index(_S_KEY)
+        except ValueError:
+            return 0
 
 
 @dataclass
@@ -50,9 +52,16 @@ class SpanningTree:
         return [(p, v) for v, p in self.parent.items()]
 
     def depth(self) -> int:
-        """Longest root path; iterative, so any height works."""
+        """Longest root path; iterative, so any height works.
+
+        In BFS order every parent comes before its children, so one
+        pass suffices; other orders walk up to a vertex of known depth.
+        """
         depths = {self.root: 0}
-        for v in self.parent:
+        for v, p in self.parent.items():
+            if p in depths:
+                depths[v] = depths[p] + 1
+                continue
             path = []
             while v not in depths:
                 path.append(v)
@@ -66,33 +75,60 @@ class SpanningTree:
 def build_graph(coset_list: CosetList) -> CayleyGraph:
     """Adjacency by hashing each vertex times S, T, T^-1 against the
     vertex set; O(n) instead of pairwise testing."""
-    mats = []
-    index = {}
-    for w, m in zip(coset_list.reps, coset_list.mats):
-        nm = psl_normalize(m)
-        key = nm.entries()
-        if key in index:
-            raise DuplicateVertex(
-                f"{w} and {coset_list.reps[index[key]]} coincide in PSL2"
-            )
-        index[key] = len(mats)
-        mats.append(nm)
-    adj = [[] for _ in mats]
-    for i, (a, b, c, d) in enumerate(index):  # keys in vertex order
-        for a2, b2, c2, d2 in (
-            (b, -a, d, -c), (a, a + b, c, c + d), (a, b - a, c, d - c)
-        ):
-            s = psl_sign(a2, b2, c2, d2)
-            j = index.get((s * a2, s * b2, s * c2, s * d2))
-            if j is not None and j != i and j not in adj[i]:
-                adj[i].append(j)
-    return CayleyGraph(list(coset_list.reps), mats, adj)
+    # psl_sign: as det = 1, the sign of c, or of d when c = 0
+    keys = [
+        (m.a, m.b, m.c, m.d) if (m.c or m.d) > 0
+        else (-m.a, -m.b, -m.c, -m.d)
+        for m in coset_list.mats
+    ]
+    index = dict(zip(keys, range(len(keys))))
+    if len(index) < len(keys):
+        _raise_duplicate(coset_list.reps, keys)
+    get = index.get
+    s_nbr = [
+        get((b, -a, d, -c) if d > 0 else (-b, a, -d, c))
+        for a, b, c, d in keys
+    ]
+    t_nbr = [get((a, a + b, c, c + d)) for a, b, c, d in keys]
+    # S, T and T^-1 move every element of PSL2(Z), and to three
+    # different elements, so no list gets a loop or a repeat.  The lists
+    # take S, T, T^-1 neighbours in that order; the T^-1 neighbour of
+    # i*T is i.
+    adj = [[] if j is None else [j] for j in s_nbr]
+    for nbrs, j in zip(adj, t_nbr):
+        if j is not None:
+            nbrs.append(j)
+    for i, j in enumerate(t_nbr):
+        if j is not None:
+            adj[j].append(i)
+    return CayleyGraph(list(coset_list.reps), keys, adj)
+
+
+def _raise_duplicate(words, keys):
+    first = {}
+    for w, key in zip(words, keys):
+        if key in first:
+            raise DuplicateVertex(f"{w} and {first[key]} coincide in PSL2")
+        first[key] = w
 
 
 def is_connected(g: CayleyGraph) -> bool:
-    if len(g) == 0:
+    """Flood fill from vertex 0."""
+    n = len(g)
+    if n == 0:
         return True
-    return len(_bfs(g, 0).parent) == len(g) - 1
+    adj = g.adj
+    seen = bytearray(n)
+    seen[0] = 1
+    stack = [0]
+    reached = 1
+    while stack:
+        for w in adj[stack.pop()]:
+            if not seen[w]:
+                seen[w] = 1
+                reached += 1
+                stack.append(w)
+    return reached == n
 
 
 def spanning_tree(g: CayleyGraph, root: int | None = None) -> SpanningTree:
@@ -104,13 +140,13 @@ def spanning_tree(g: CayleyGraph, root: int | None = None) -> SpanningTree:
 
 def _bfs(g: CayleyGraph, root: int) -> SpanningTree:
     parent: dict[int, int] = {}
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
+    seen = bytearray(len(g))
+    seen[root] = 1
+    queue = [root]
+    for v in queue:  # the loop reaches the vertices appended to queue
         for w in sorted(g.adj[v]):
-            if w not in seen:
-                seen.add(w)
+            if not seen[w]:
+                seen[w] = 1
                 parent[w] = v
                 queue.append(w)
     return SpanningTree(root, parent)

@@ -49,7 +49,7 @@ def _parse_sweep(text: str) -> range:
 
 def _write(text: str, out: str | None):
     if out is None:
-        sys.stdout.write(text)
+        _write_stdout(text)
         return
     base = os.environ.get("FUNDOM_OUT_DIR")
     if base and not os.path.isabs(out):
@@ -60,6 +60,24 @@ def _write(text: str, out: str | None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(1)
+
+
+def _write_stdout(text: str):
+    """Write all of text, or raise BrokenPipeError.
+
+    An unbuffered stdout (PYTHONUNBUFFERED=1) hands the text to one
+    write() call and drops what a closing reader did not take, so the
+    encoded bytes go to the binary layer until every byte is written.
+    """
+    stdout = sys.stdout
+    buffer = getattr(stdout, "buffer", None)
+    if buffer is None:
+        stdout.write(text)
+        return
+    stdout.flush()
+    data = memoryview(text.encode(stdout.encoding, stdout.errors))
+    while data:
+        data = data[buffer.write(data):]
 
 
 def _verified_list(args) -> CosetList:

@@ -100,11 +100,26 @@ def _unit_ks(level: Level):
     ]
 
 
+def _st_words(level: Level, mt: projline.MTable) -> dict[int, GroupWord]:
+    """The words S T^i for i in the window and for 0 <= i <= max M_j,
+    keyed by i: every S T^i the Theta builders use, built once."""
+    top = max(level.n2, max(mt.entries.values(), default=0))
+    return {i: st(i) for i in range(-level.n1, top + 1)}
+
+
+def _theta0_reps(
+    level: Level, mt: projline.MTable, sts: dict[int, GroupWord]
+) -> list[GroupWord]:
+    reps = [sts[i] for i in level.residues()]
+    for j, mj in mt.entries.items():  # nonunit j
+        sj = sts[j]
+        reps += [sj * sts[m] for m in range(mj + 1)]
+    return reps
+
+
 def theta0(level: Level) -> CosetList:
-    reps = [st(i) for i in level.residues()]
-    for j, mj in projline.m_table(level).entries.items():  # nonunit j
-        for m in range(mj + 1):
-            reps.append(st(j) * st(m))
+    mt = projline.m_table(level)
+    reps = _theta0_reps(level, mt, _st_words(level, mt))
     return CosetList(level, Group.GAMMA0, reps)
 
 
@@ -120,15 +135,16 @@ def gamma1_quotient_reps(level: Level) -> list[GroupWord]:
 
 def theta1(level: Level) -> CosetList:
     mt = projline.m_table(level)
-    reps = list(theta0(level).reps)
+    sts = _st_words(level, mt)
+    reps = _theta0_reps(level, mt, sts)
+    window = level.residues()
     for k in _unit_ks(level):
         kinv = inv_mod(k, level)
-        for i in level.residues():
-            reps.append(st(k) * st(i))
+        sk = sts[k]
+        reps += [sk * sts[i] for i in window]
         for j, mj in mt.entries.items():
-            x = level.reduce(kinv + j)
-            for m in range(mj + 1):
-                reps.append(st(k) * st(x) * st(m))
+            skx = sk * sts[level.reduce(kinv + j)]
+            reps += [skx * sts[m] for m in range(mj + 1)]
     return CosetList(level, Group.GAMMA1, reps)
 
 
@@ -161,22 +177,42 @@ def _unit_rows(level: Level):
     ]
 
 
-def _coset_key(m: Mat2, level: Level, group: Group):
-    """Invariant separating the cosets.
+def _key_function(level: Level, group: Group):
+    """The invariant separating the cosets, as a function of a Mat2.
 
     Two matrices lie in the same right coset of Gamma_0(N) iff their
     bottom rows give the same class of P^1(Z/NZ); of (+-I)Gamma_1(N)
     iff their bottom rows agree mod N up to a global sign; of
     (+-I)Gamma(N) iff all entries agree mod N up to a global sign.
+    The signed keys are the smaller of the reduced entries and of their
+    negations; the first entry x with x != -x mod N settles which.
     """
     n = level.n
     if group is Group.GAMMA0:
-        return projline.normalize(m.c, m.d, level)
+        return lambda m: projline.normalize(m.c, m.d, level)
     if group is Group.GAMMA1:
-        row = (m.c % n, m.d % n)
-        return min(row, ((-m.c) % n, (-m.d) % n))
-    a, b, c, d = m.a % n, m.b % n, m.c % n, m.d % n
-    return min((a, b, c, d), (-a % n, -b % n, -c % n, -d % n))
+
+        def row_key(m):
+            c, d = m.c % n, m.d % n
+            if c and c + c != n:
+                return (c, d) if c + c < n else (n - c, -d % n)
+            return (c, min(d, -d % n))
+
+        return row_key
+
+    def full_key(m):
+        a, b, c, d = m.a % n, m.b % n, m.c % n, m.d % n
+        if a and a + a != n:
+            if a + a < n:
+                return (a, b, c, d)
+            return (n - a, -b % n, -c % n, -d % n)
+        return min((a, b, c, d), (a, -b % n, -c % n, -d % n))
+
+    return full_key
+
+
+def _coset_key(m: Mat2, level: Level, group: Group):
+    return _key_function(level, group)(m)
 
 
 def _expected_count(level: Level, group: Group) -> int:
@@ -227,10 +263,10 @@ def verify(coset_list: CosetList) -> VerificationReport:
     omission; marks the list verified and returns the report otherwise.
     """
     level, group = coset_list.level, coset_list.group
+    keys = map(_key_function(level, group), coset_list.mats)
     seen: dict = {}
     duplicates = []
-    for w, m in zip(coset_list.reps, coset_list.mats):
-        key = _coset_key(m, level, group)
+    for w, key in zip(coset_list.reps, keys):
         if key in seen:
             duplicates.append((seen[key], w, key))
         else:

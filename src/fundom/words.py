@@ -19,7 +19,7 @@ from math import gcd
 # tokens are ("S",) or ("T", e) with e != 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mat2:
     """2x2 integer matrix of determinant 1."""
 
@@ -74,7 +74,7 @@ def _merge(tokens):
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupWord:
     """A signed word in S and T^e; its tokens are merged when built."""
 
@@ -87,7 +87,19 @@ class GroupWord:
         object.__setattr__(self, "tokens", _merge(self.tokens))
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
-        return GroupWord(self.tokens + other.tokens, self.sign * other.sign)
+        # Both factors are merged, so only the seam can hold a T^e T^f
+        # pair; the tokens around it are S, so nothing merges further.
+        left, right = self.tokens, other.tokens
+        if left and right and left[-1][0] == "T" == right[0][0]:
+            e = left[-1][1] + right[0][1]
+            seam = (("T", e),) if e else ()
+            tokens = left[:-1] + seam + right[1:]
+        else:
+            tokens = left + right
+        word = object.__new__(GroupWord)
+        object.__setattr__(word, "tokens", tokens)
+        object.__setattr__(word, "sign", self.sign * other.sign)
+        return word
 
     def __str__(self):
         body = "".join(

@@ -119,7 +119,7 @@ def test_criterion_5_cusp_tables_n30():
 
 
 SWEEP = range(2, 101)
-FULL_CAP = 20
+FULL_CAP = 30
 
 
 def _sweep_lists():
@@ -138,7 +138,7 @@ def test_criterion_6_connectivity_sweep():
             lst.group,
             lst.level.n,
         )
-    done("criterion 6: connectivity for 2 <= N <= 100 (Gamma(N) to 20)")
+    done("criterion 6: connectivity for 2 <= N <= 100 (Gamma(N) to 30)")
 
 
 def test_criterion_7_coset_verification_sweep():

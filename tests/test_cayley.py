@@ -85,6 +85,13 @@ def test_spanning_tree_theta0_6():
     assert len(tree.edges()) == 11
 
 
+def test_default_root_is_s_else_vertex_0():
+    assert build_graph(list_of([st(1), make_word(("S",))])).default_root() == 1
+    neg_s = make_word(("S",), sign=-1)
+    assert build_graph(list_of([st(1), neg_s])).default_root() == 1
+    assert build_graph(list_of([st(1), st(2)])).default_root() == 0
+
+
 def test_spanning_tree_singleton():
     g = build_graph(list_of([make_word(("S",))]))
     tree = spanning_tree(g)
@@ -105,6 +112,30 @@ def test_spanning_tree_depth_of_deep_path():
     assert tree.depth() == 5000
     branched = SpanningTree(0, {3: 2, 2: 0, 1: 0, 4: 1, 5: 2})
     assert branched.depth() == 2
+    # the same shapes with every parent listed before its children
+    bfs_path = SpanningTree(0, {v: v - 1 for v in range(1, 5001)})
+    assert bfs_path.depth() == 5000
+    bfs_branched = SpanningTree(0, {1: 0, 2: 0, 4: 1, 5: 2, 3: 2})
+    assert bfs_branched.depth() == 2
+
+
+def _walked_depth(tree):
+    """Depth of each vertex by walking up to the root."""
+    depth = {}
+    for v in tree.parent:
+        d, u = 0, v
+        while u != tree.root:
+            u, d = tree.parent[u], d + 1
+        depth[v] = d
+    return max(depth.values(), default=0)
+
+
+@pytest.mark.parametrize(
+    "group, n", [(Group.GAMMA0, 30), (Group.GAMMA1, 21), (Group.GAMMA_FULL, 9)]
+)
+def test_depth_of_bfs_tree_matches_walk(group, n):
+    tree = spanning_tree(build_graph(build(Level(n), group)))
+    assert tree.depth() == _walked_depth(tree)
 
 
 def _reference_adj(lst):
@@ -125,12 +156,47 @@ def _reference_adj(lst):
 @pytest.mark.parametrize(
     "group, n",
     [(Group.GAMMA0, n) for n in (2, 6, 30, 64)]
-    + [(Group.GAMMA1, n) for n in (2, 8, 21)]
-    + [(Group.GAMMA_FULL, n) for n in (2, 6, 9)],
+    + [(Group.GAMMA1, n) for n in (2, 8, 21, 30)]
+    + [(Group.GAMMA_FULL, n) for n in (2, 6, 9, 12)],
 )
 def test_adjacency_matches_matrix_products(group, n):
     lst = build(Level(n), group)
-    assert build_graph(lst).adj == _reference_adj(lst)
+    g = build_graph(lst)
+    assert g.adj == _reference_adj(lst)
+    assert g.keys == [psl_normalize(m).entries() for m in lst.mats]
+
+
+def _reached_by_bfs(g):
+    """Vertices reached from vertex 0, by a plain set-based BFS."""
+    seen, frontier = {0}, [0]
+    while frontier:
+        frontier = [w for v in frontier for w in g.adj[v] if w not in seen]
+        seen.update(frontier)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "lst",
+    [
+        theta0(Level(30)),
+        theta1(Level(12)),
+        build(Level(6), Group.GAMMA_FULL),
+        list_of(gamma1_quotient_reps(Level(8)), n=8, group=Group.GAMMA1),
+        list_of(gamma1_quotient_reps(Level(13)), n=13, group=Group.GAMMA1),
+        list_of(theta0(Level(12)).reps[::2], n=12),
+        list_of([make_word(("S",)), st(2), st(3)]),
+        list_of([st(2), st(3), make_word(("S",))]),
+        list_of([]),
+    ],
+    ids=[
+        "theta0-30", "theta1-12", "thetaN-6", "quotient-8", "quotient-13",
+        "half-theta0-12", "S-ST2-ST3", "ST2-ST3-S", "empty",
+    ],
+)
+def test_is_connected_agrees_with_bfs(lst):
+    g = build_graph(lst)
+    reached = len(_reached_by_bfs(g)) if len(g) else 0
+    assert is_connected(g) == (reached == len(g))
 
 
 def test_one_checked_matrix_per_word(monkeypatch):

@@ -225,11 +225,13 @@ def test_out_dir_env(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "m.txt").exists()
 
 
-def test_reader_closing_early_exits_1_without_traceback():
+def _render_read_100(unbuffered: bool):
+    """Run `render --N 20 --group gammaN`, read 100 bytes of its stdout
+    and close the pipe; return the exit code, the bytes and stderr."""
     env = dict(os.environ, PYTHONPATH=str(Path(fundom.__file__).parents[1]))
-    # unbuffered stdout drops the rest of a short write silently; the
-    # default buffered stdout is the one that must fail closed
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen(
         [sys.executable, "-c",
          "import sys; from fundom.cli import main; sys.exit(main())",
@@ -240,7 +242,22 @@ def test_reader_closing_early_exits_1_without_traceback():
     proc.stdout.close()  # the SVG is about 700 kB, far beyond a pipe buffer
     err = proc.stderr.read().decode()
     proc.stderr.close()
-    assert proc.wait() == 1
+    return proc.wait(), head, err
+
+
+def test_reader_closing_early_exits_1_without_traceback():
+    code, head, err = _render_read_100(unbuffered=False)
+    assert code == 1
+    assert len(head) == 100
+    assert "Traceback" not in err
+    assert err.startswith("error:")
+
+
+def test_reader_closing_early_exits_1_with_unbuffered_stdout():
+    # unbuffered stdout hands the text to one write() call, which a
+    # closing reader cuts short without an error
+    code, head, err = _render_read_100(unbuffered=True)
+    assert code == 1
     assert len(head) == 100
     assert "Traceback" not in err
     assert err.startswith("error:")

@@ -1,9 +1,11 @@
 import pytest
 
+from fundom import cosets, projline
 from fundom.cosets import (
     CosetList,
     Group,
     VerificationFailed,
+    _coset_key,
     build,
     gamma1_quotient_reps,
     theta0,
@@ -12,8 +14,15 @@ from fundom.cosets import (
     verify,
 )
 from fundom.projline import big_m, enumerate_p1, normalize
-from fundom.residues import Level
-from fundom.words import evaluate, make_word, mobius_cusp, parse_word
+from fundom.residues import Level, inv_mod
+from fundom.words import (
+    GroupWord,
+    evaluate,
+    make_word,
+    mobius_cusp,
+    parse_word,
+    st,
+)
 
 from oracles import (
     brute_p1_classes,
@@ -308,3 +317,81 @@ def test_build_dispatch():
     assert words_of(build(lvl, Group.GAMMA0)) == words_of(theta0(lvl))
     assert words_of(build(lvl, Group.GAMMA1)) == words_of(theta1(lvl))
     assert words_of(build(lvl, Group.GAMMA_FULL)) == words_of(theta_full(lvl))
+
+
+def _theta1_by_formula(level):
+    """Theta_1 by its defining formula, each word built and merged
+    from its full token list."""
+    def word(*exps):  # S T^e1 S T^e2 ...
+        return GroupWord(tuple(t for e in exps for t in (("S",), ("T", e))))
+
+    mt = projline.m_table(level).entries
+    reps = [word(i) for i in level.residues()]
+    reps += [word(j, m) for j, mj in mt.items() for m in range(mj + 1)]
+    for k in cosets._unit_ks(level):
+        x0 = inv_mod(k, level)
+        reps += [word(k, i) for i in level.residues()]
+        reps += [
+            word(k, level.reduce(x0 + j), m)
+            for j, mj in mt.items()
+            for m in range(mj + 1)
+        ]
+    return reps
+
+
+def test_theta_words_match_their_defining_formula():
+    for n in list(range(2, 41)) + [60, 64]:
+        lvl = Level(n)
+        expected = _theta1_by_formula(lvl)
+        t0 = theta0(lvl).reps
+        assert t0 == expected[: len(t0)]
+        assert theta1(lvl).reps == expected
+    lvl = Level(12)
+    expected = [
+        GroupWord((("T", ell),) + w.tokens)
+        for ell in lvl.residues()
+        for w in _theta1_by_formula(lvl)
+    ]
+    assert theta_full(lvl).reps == expected
+
+
+def test_theta_builders_take_m_past_the_window(monkeypatch):
+    # M_j <= N2 holds for every N < 400 but is not proven; a larger
+    # M_j must still give its words S T^j S T^m
+    lvl = Level(12)
+    real = projline.m_table(lvl)
+    j0 = next(iter(real.entries))
+    big = {j: (lvl.n2 + 3 if j == j0 else m) for j, m in real.entries.items()}
+    monkeypatch.setattr(
+        projline, "m_table", lambda level: projline.MTable(level, big)
+    )
+    for builder in (theta0, theta1):
+        reps = builder(lvl).reps
+        for m in range(lvl.n2 + 4):
+            assert st(j0) * st(m) in reps
+
+
+class _Entries:
+    """A stand-in for Mat2 carrying any four entries, not only det 1."""
+
+    def __init__(self, a, b, c, d):
+        self.a, self.b, self.c, self.d = a, b, c, d
+
+
+def test_coset_keys_equal_the_min_of_both_signs():
+    # every 4-tuple mod N, also with negative representatives
+    for n in range(2, 10):
+        lvl = Level(n)
+        for a in range(n):
+            for b in range(n):
+                for c in range(n):
+                    for d in range(n):
+                        neg = tuple((-x) % n for x in (a, b, c, d))
+                        full = min((a, b, c, d), neg)
+                        row = min((c, d), neg[2:])
+                        for m in (
+                            _Entries(a, b, c, d),
+                            _Entries(a - n, b - 2 * n, c - n, d + n),
+                        ):
+                            assert _coset_key(m, lvl, Group.GAMMA_FULL) == full
+                            assert _coset_key(m, lvl, Group.GAMMA1) == row

@@ -118,6 +118,33 @@ def test_evaluate_matches_generator_product(tokens, sign):
     assert evaluate(GroupWord(tuple(tokens), sign)) == expected
 
 
+signed_words = stst.builds(
+    lambda toks, sign: GroupWord(tuple(toks), sign),
+    raw_tokens,
+    stst.sampled_from((1, -1)),
+)
+
+
+@given(
+    signed_words,
+    signed_words,
+    stst.integers(-6, 6),
+    stst.one_of(stst.none(), stst.integers(-6, 6)),
+)
+def test_product_is_the_merged_concatenation(x, y, a, b):
+    # x T^a times T^b y puts a T^a T^b pair on the seam (b = None: T^-a,
+    # which cancels); x times y is the plain case
+    seamed_x = GroupWord(x.tokens + (("T", a),), x.sign)
+    seamed_y = GroupWord((("T", -a if b is None else b),) + y.tokens, y.sign)
+    for left, right in ((x, y), (seamed_x, seamed_y), (x, seamed_y)):
+        product = left * right
+        sign = left.sign * right.sign
+        expected = GroupWord(left.tokens + right.tokens, sign)
+        assert product == expected
+        assert type(product.tokens) is tuple
+        assert hash(product) == hash(expected)
+
+
 @given(words, words)
 def test_homomorphism(w1, w2):
     assert evaluate(w1 * w2) == evaluate(w1) * evaluate(w2)
