@@ -1,7 +1,7 @@
 """Coset representatives and connected fundamental domains for the
 congruence subgroups of SL2(Z)."""
 
-from .residues import Level, gcd_with_level, inv_mod, NotAUnit
+from .residues import Level, inv_mod, NotAUnit
 from .projline import (
     big_m,
     enumerate_p1,
@@ -28,7 +28,6 @@ from .cosets import (
     CosetList,
     Group,
     VerificationFailed,
-    gamma1_quotient_reps,
     theta0,
     theta1,
     theta_full,

@@ -8,12 +8,15 @@ corresponding union of translated triangles.
 The neighbours of m = (a, b, c, d) are found on plain ints, in the order
 m*S = (b, -a, d, -c), m*T = (a, a + b, c, c + d), m*T^-1 = (a, b - a,
 c, d - c).  For a normalized m, m*T and m*T^-1 keep (c, d) and so stay
-normalized, and m*S is normalized exactly when d > 0.
+normalized, and m*S is normalized exactly when d > 0.  S, T and T^-1
+move every element of PSL2(Z), and to three different elements, so the
+graph has no loops and no repeated edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cosets import CosetList
 from .words import GroupWord
@@ -28,12 +31,25 @@ _S_KEY = (0, -1, 1, 0)  # S, PSL2-normalized
 
 @dataclass
 class CayleyGraph:
+    """The S, T and T^-1 neighbours of vertex i are s_nbr[i], t_nbr[i]
+    and u_nbr[i], each -1 when that product is not in the list."""
+
     words: list[GroupWord]
     keys: list[tuple]  # PSL2-normalized (a, b, c, d)
-    adj: list[list[int]]
+    s_nbr: list[int]
+    t_nbr: list[int]
+    u_nbr: list[int]
 
     def __len__(self):
         return len(self.keys)
+
+    @cached_property
+    def adj(self) -> list[list[int]]:
+        """The neighbours of each vertex, in S, T, T^-1 order."""
+        return [
+            [j for j in nbrs if j >= 0]
+            for nbrs in zip(self.s_nbr, self.t_nbr, self.u_nbr)
+        ]
 
     def default_root(self) -> int:
         """First vertex equal to S in PSL2, else vertex 0."""
@@ -75,10 +91,10 @@ class SpanningTree:
 def build_graph(coset_list: CosetList) -> CayleyGraph:
     """Adjacency by hashing each vertex times S, T, T^-1 against the
     vertex set; O(n) instead of pairwise testing."""
-    # psl_sign: as det = 1, the sign of c, or of d when c = 0
+    # psl_sign: as det = 1, the sign of c, or of d when c = 0; a Mat2
+    # with that sign positive is its own key
     keys = [
-        (m.a, m.b, m.c, m.d) if (m.c or m.d) > 0
-        else (-m.a, -m.b, -m.c, -m.d)
+        m if (m[2] or m[3]) > 0 else (-m[0], -m[1], -m[2], -m[3])
         for m in coset_list.mats
     ]
     index = dict(zip(keys, range(len(keys))))
@@ -86,22 +102,16 @@ def build_graph(coset_list: CosetList) -> CayleyGraph:
         _raise_duplicate(coset_list.reps, keys)
     get = index.get
     s_nbr = [
-        get((b, -a, d, -c) if d > 0 else (-b, a, -d, c))
+        get((b, -a, d, -c) if d > 0 else (-b, a, -d, c), -1)
         for a, b, c, d in keys
     ]
-    t_nbr = [get((a, a + b, c, c + d)) for a, b, c, d in keys]
-    # S, T and T^-1 move every element of PSL2(Z), and to three
-    # different elements, so no list gets a loop or a repeat.  The lists
-    # take S, T, T^-1 neighbours in that order; the T^-1 neighbour of
-    # i*T is i.
-    adj = [[] if j is None else [j] for j in s_nbr]
-    for nbrs, j in zip(adj, t_nbr):
-        if j is not None:
-            nbrs.append(j)
+    t_nbr = [get((a, a + b, c, c + d), -1) for a, b, c, d in keys]
+    # the T^-1 neighbour of i*T is i
+    u_nbr = [-1] * len(keys)
     for i, j in enumerate(t_nbr):
-        if j is not None:
-            adj[j].append(i)
-    return CayleyGraph(list(coset_list.reps), keys, adj)
+        if j >= 0:
+            u_nbr[j] = i
+    return CayleyGraph(list(coset_list.reps), keys, s_nbr, t_nbr, u_nbr)
 
 
 def _raise_duplicate(words, keys):
@@ -117,18 +127,27 @@ def is_connected(g: CayleyGraph) -> bool:
     n = len(g)
     if n == 0:
         return True
-    adj = g.adj
-    seen = bytearray(n)
+    s_nbr, t_nbr, u_nbr = g.s_nbr, g.t_nbr, g.u_nbr
+    seen = bytearray(n + 1)
+    seen[-1] = 1  # -1, "no neighbour", counts as seen
     seen[0] = 1
     stack = [0]
-    reached = 1
+    push = stack.append
     while stack:
-        for w in adj[stack.pop()]:
-            if not seen[w]:
-                seen[w] = 1
-                reached += 1
-                stack.append(w)
-    return reached == n
+        v = stack.pop()
+        w = s_nbr[v]
+        if not seen[w]:
+            seen[w] = 1
+            push(w)
+        w = t_nbr[v]
+        if not seen[w]:
+            seen[w] = 1
+            push(w)
+        w = u_nbr[v]
+        if not seen[w]:
+            seen[w] = 1
+            push(w)
+    return 0 not in seen
 
 
 def spanning_tree(g: CayleyGraph, root: int | None = None) -> SpanningTree:
@@ -139,16 +158,34 @@ def spanning_tree(g: CayleyGraph, root: int | None = None) -> SpanningTree:
 
 
 def _bfs(g: CayleyGraph, root: int) -> SpanningTree:
+    s_nbr, t_nbr, u_nbr = g.s_nbr, g.t_nbr, g.u_nbr
     parent: dict[int, int] = {}
-    seen = bytearray(len(g))
+    seen = bytearray(len(g) + 1)
+    seen[-1] = 1  # -1, "no neighbour", counts as seen
     seen[root] = 1
     queue = [root]
+    push = queue.append
     for v in queue:  # the loop reaches the vertices appended to queue
-        for w in sorted(g.adj[v]):
-            if not seen[w]:
-                seen[w] = 1
-                parent[w] = v
-                queue.append(w)
+        # the neighbours in index order, by three compare-and-swaps
+        x, y, z = s_nbr[v], t_nbr[v], u_nbr[v]
+        if x > y:
+            x, y = y, x
+        if y > z:
+            y, z = z, y
+            if x > y:
+                x, y = y, x
+        if not seen[x]:
+            seen[x] = 1
+            parent[x] = v
+            push(x)
+        if not seen[y]:
+            seen[y] = 1
+            parent[y] = v
+            push(y)
+        if not seen[z]:
+            seen[z] = 1
+            parent[z] = v
+            push(z)
     return SpanningTree(root, parent)
 
 

@@ -31,7 +31,6 @@ from .words import (
     mobius_cusp,
     parse_word,
     st,
-    word_identity,
 )
 
 
@@ -123,16 +122,6 @@ def theta0(level: Level) -> CosetList:
     return CosetList(level, Group.GAMMA0, reps)
 
 
-def gamma1_quotient_reps(level: Level) -> list[GroupWord]:
-    """Words I and S T^k S T^{k^-1} S representing the quotient of
-    Gamma_0(N) by (+-I) Gamma_1(N)."""
-    reps = [word_identity()]
-    for k in _unit_ks(level):
-        kinv = inv_mod(k, level)
-        reps.append(st(k) * st(kinv) * make_word(("S",)))
-    return reps
-
-
 def theta1(level: Level) -> CosetList:
     mt = projline.m_table(level)
     sts = _st_words(level, mt)
@@ -177,8 +166,9 @@ def _unit_rows(level: Level):
     ]
 
 
-def _key_function(level: Level, group: Group):
-    """The invariant separating the cosets, as a function of a Mat2.
+def _coset_keys(mats, level: Level, group: Group) -> list:
+    """The invariant separating the cosets, for each (a, b, c, d) of a
+    list of matrices.
 
     Two matrices lie in the same right coset of Gamma_0(N) iff their
     bottom rows give the same class of P^1(Z/NZ); of (+-I)Gamma_1(N)
@@ -189,30 +179,33 @@ def _key_function(level: Level, group: Group):
     """
     n = level.n
     if group is Group.GAMMA0:
-        return lambda m: projline.normalize(m.c, m.d, level)
+        return [projline.normalize(c, d, level) for _, _, c, d in mats]
+    # x = -x mod N exactly when 2x is 0 or N; then a later entry decides
+    keys = []
+    append = keys.append
     if group is Group.GAMMA1:
+        for _, _, c, d in mats:
+            c %= n
+            if 0 < c + c < n:
+                append((c, d % n))
+            elif c + c > n:
+                append((n - c, -d % n))
+            else:
+                append((c, min(d % n, -d % n)))
+        return keys
+    for a, b, c, d in mats:
+        a %= n
+        if 0 < a + a < n:
+            append((a, b % n, c % n, d % n))
+        elif a + a > n:
+            append((n - a, -b % n, -c % n, -d % n))
+        else:
+            append(min((a, b % n, c % n, d % n), (a, -b % n, -c % n, -d % n)))
+    return keys
 
-        def row_key(m):
-            c, d = m.c % n, m.d % n
-            if c and c + c != n:
-                return (c, d) if c + c < n else (n - c, -d % n)
-            return (c, min(d, -d % n))
 
-        return row_key
-
-    def full_key(m):
-        a, b, c, d = m.a % n, m.b % n, m.c % n, m.d % n
-        if a and a + a != n:
-            if a + a < n:
-                return (a, b, c, d)
-            return (n - a, -b % n, -c % n, -d % n)
-        return min((a, b, c, d), (a, -b % n, -c % n, -d % n))
-
-    return full_key
-
-
-def _coset_key(m: Mat2, level: Level, group: Group):
-    return _key_function(level, group)(m)
+def _coset_key(m, level: Level, group: Group):
+    return _coset_keys([m], level, group)[0]
 
 
 def _expected_count(level: Level, group: Group) -> int:
@@ -263,7 +256,7 @@ def verify(coset_list: CosetList) -> VerificationReport:
     omission; marks the list verified and returns the report otherwise.
     """
     level, group = coset_list.level, coset_list.group
-    keys = map(_key_function(level, group), coset_list.mats)
+    keys = _coset_keys(coset_list.mats, level, group)
     seen: dict = {}
     duplicates = []
     for w, key in zip(coset_list.reps, keys):
@@ -289,18 +282,15 @@ def _all_keys(level: Level, group: Group):
     n = level.n
     if group is Group.GAMMA0:
         return set(projline.enumerate_p1(level))
-    keys = set()
-    for c, d in _unit_rows(level):
-        if group is Group.GAMMA1:
-            keys.add(min((c, d), ((-c) % n, (-d) % n)))
-        else:
-            # all N completions of the bottom row to SL2(Z/NZ)
-            m0 = _some_lift(c, d, n)
-            for t in range(n):
-                a, b = (m0.a + t * c) % n, (m0.b + t * d) % n
-                ent = (a, b, c % n, d % n)
-                keys.add(min(ent, tuple((-x) % n for x in ent)))
-    return keys
+    if group is Group.GAMMA1:
+        ents = [(0, 0, c, d) for c, d in _unit_rows(level)]
+    else:
+        # all N completions of each bottom row to SL2(Z/NZ)
+        ents = []
+        for c, d in _unit_rows(level):
+            a, b, _, _ = _some_lift(c, d, n)
+            ents += [(a + t * c, b + t * d, c, d) for t in range(n)]
+    return set(_coset_keys(ents, level, group))
 
 
 def _some_lift(c: int, d: int, n: int) -> Mat2:

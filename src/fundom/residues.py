@@ -45,11 +45,6 @@ class Level:
         return range(-self.n1, self.n2 + 1)
 
 
-def gcd_with_level(a: int, level: Level) -> int:
-    """gcd(a, N) as a positive integer in [1, N]; gcd(0, N) = N."""
-    return gcd(a, level.n)
-
-
 def inv_mod(a: int, level: Level) -> int:
     """Inverse of a unit mod N, in symmetric form."""
     if gcd(a, level.n) != 1:

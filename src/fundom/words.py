@@ -5,8 +5,9 @@ SL2(Z) with arbitrary-precision entries; silent overflow is impossible.
 The serialization format is e.g. "ST^-3ST^3S", with "I" for the empty
 word and an optional leading "-".
 
-Every `Mat2` checks its determinant when it is built.  `evaluate` works
-on four plain ints and builds one `Mat2`, so checks each word once.
+A `Mat2` is a tuple (a, b, c, d) that checks its determinant when it
+is built.  `evaluate` works on four plain ints and builds one `Mat2`,
+so checks each word once.
 """
 
 from __future__ import annotations
@@ -14,48 +15,64 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
 
 
-# tokens are ("S",) or ("T", e) with e != 0
+_tuple_new = tuple.__new__  # a global is found faster than tuple.__new__
 
 
-@dataclass(frozen=True, slots=True)
-class Mat2:
-    """2x2 integer matrix of determinant 1."""
+class Mat2(tuple):
+    """2x2 integer matrix of determinant 1, as the tuple (a, b, c, d).
 
-    a: int
-    b: int
-    c: int
-    d: int
+    The determinant is checked in `__new__`, and every way of building
+    a `Mat2` goes through it: products, `inverse`, `neg`, copies and
+    unpickling (`__reduce__` rebuilds by calling the class).
+    """
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
-            raise ValueError(f"determinant is not 1: {self}")
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int, d: int) -> "Mat2":
+        if a * d - b * c != 1:
+            raise ValueError(f"determinant is not 1: [[{a},{b}],[{c},{d}]]")
+        return _tuple_new(cls, (a, b, c, d))
+
+    a = property(itemgetter(0))
+    b = property(itemgetter(1))
+    c = property(itemgetter(2))
+    d = property(itemgetter(3))
+
+    def __reduce__(self):
+        return (type(self), tuple(self))
+
+    def __repr__(self):
+        return "Mat2(a={}, b={}, c={}, d={})".format(*self)
 
     def __mul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        a, b, c, d = self
+        e, f, g, h = other
+        return Mat2(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
     def inverse(self) -> "Mat2":
-        return Mat2(self.d, -self.b, -self.c, self.a)
+        a, b, c, d = self
+        return Mat2(d, -b, -c, a)
 
     def neg(self) -> "Mat2":
-        return Mat2(-self.a, -self.b, -self.c, -self.d)
+        a, b, c, d = self
+        return Mat2(-a, -b, -c, -d)
 
-    def entries(self):
-        return (self.a, self.b, self.c, self.d)
+    def entries(self) -> tuple:
+        return tuple(self)
 
     def __str__(self):
-        return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
+        return "[[{},{}],[{},{}]]".format(*self)
 
 
 IDENTITY = Mat2(1, 0, 0, 1)
 S_MAT = Mat2(0, -1, 1, 0)
 T_MAT = Mat2(1, 1, 0, 1)
+
+
+# tokens are ("S",) or ("T", e) with e != 0
 
 
 def _merge(tokens):
@@ -113,10 +130,6 @@ class GroupWord:
 
 def make_word(*tokens, sign: int = 1) -> GroupWord:
     return GroupWord(tokens, sign)
-
-
-def word_identity() -> GroupWord:
-    return make_word()
 
 
 def st(i: int) -> GroupWord:

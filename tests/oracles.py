@@ -9,8 +9,28 @@ Group membership is read off the entries mod N directly.
 
 from math import gcd
 
-from fundom.residues import Level
-from fundom.words import INFINITY, Cusp, Mat2, cusp
+from fundom.residues import Level, inv_mod
+from fundom.words import INFINITY, Cusp, GroupWord, Mat2, cusp, make_word, st
+
+
+def gcd_with_level(a: int, level: Level) -> int:
+    """gcd(a, N) as a positive integer in [1, N]; gcd(0, N) = N."""
+    return gcd(a, level.n)
+
+
+def word_identity() -> GroupWord:
+    return make_word()
+
+
+def gamma1_quotient_reps(level: Level) -> list[GroupWord]:
+    """Words I and S T^k S T^{k^-1} S representing the quotient of
+    Gamma_0(N) by (+-I) Gamma_1(N), for the unit classes k in [-N1, -2]
+    mod +-1 other than the class of 1."""
+    reps = [word_identity()]
+    for k in range(-level.n1, -1):
+        if gcd(k, level.n) == 1:
+            reps.append(st(k) * st(inv_mod(k, level)) * make_word(("S",)))
+    return reps
 
 
 def row_map(m: Mat2, level: Level) -> tuple[int, int]:

@@ -13,7 +13,6 @@ from fundom.cayley import build_graph, is_connected
 from fundom.cosets import (
     CosetList,
     Group,
-    gamma1_quotient_reps,
     theta0,
     theta1,
     theta_full,
@@ -25,6 +24,7 @@ from fundom.residues import Level, inv_mod
 from fundom.words import Cusp, IDENTITY, cusp, evaluate, make_word, st
 
 from oracles import (
+    gamma1_quotient_reps,
     in_gamma0,
     in_gammaN,
     in_pm_gamma1,
@@ -119,7 +119,7 @@ def test_criterion_5_cusp_tables_n30():
 
 
 SWEEP = range(2, 101)
-FULL_CAP = 30
+FULL_CAP = 40
 
 
 def _sweep_lists():
@@ -138,7 +138,7 @@ def test_criterion_6_connectivity_sweep():
             lst.group,
             lst.level.n,
         )
-    done("criterion 6: connectivity for 2 <= N <= 100 (Gamma(N) to 30)")
+    done("criterion 6: connectivity for 2 <= N <= 100 (Gamma(N) to 40)")
 
 
 def test_criterion_7_coset_verification_sweep():

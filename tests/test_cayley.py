@@ -12,7 +12,6 @@ from fundom.cosets import (
     CosetList,
     Group,
     build,
-    gamma1_quotient_reps,
     theta0,
     theta1,
 )
@@ -26,6 +25,8 @@ from fundom.words import (
     psl_normalize,
     st,
 )
+
+from oracles import gamma1_quotient_reps
 
 
 def list_of(words, n=6, group=Group.GAMMA0):
@@ -164,6 +165,31 @@ def test_adjacency_matches_matrix_products(group, n):
     g = build_graph(lst)
     assert g.adj == _reference_adj(lst)
     assert g.keys == [psl_normalize(m).entries() for m in lst.mats]
+    assert all(type(k) in (tuple, Mat2) and len(k) == 4 for k in g.keys)
+    assert (g.s_nbr, g.t_nbr, g.u_nbr) == _reference_nbrs(lst)
+    for i in range(len(g)):
+        if g.t_nbr[i] >= 0:
+            assert g.u_nbr[g.t_nbr[i]] == i
+        if g.s_nbr[i] >= 0:
+            assert g.s_nbr[g.s_nbr[i]] == i  # S^2 = -I is I in PSL2
+
+
+def _reference_nbrs(lst):
+    """The S, T and T^-1 neighbour of every vertex, -1 for none, by
+    Mat2 products and psl_normalize."""
+    mats = [psl_normalize(m) for m in lst.mats]
+    index = {m: i for i, m in enumerate(mats)}
+    return tuple(
+        [index.get(psl_normalize(m * gen), -1) for m in mats]
+        for gen in (S_MAT, T_MAT, T_MAT.inverse())
+    )
+
+
+def test_adj_is_built_once_per_graph():
+    g = build_graph(theta1(Level(12)))
+    adj = g.adj
+    assert [g.adj[i] for i in range(len(g))] == adj
+    assert g.adj is adj
 
 
 def _reached_by_bfs(g):
@@ -203,20 +229,23 @@ def test_one_checked_matrix_per_word(monkeypatch):
     lst = build(Level(12), Group.GAMMA1)
     words = lst.reps + [make_word(("S",), sign=-1), make_word()]
     built = []
-    check = Mat2.__post_init__
+    check = Mat2.__new__
 
-    def counting(self):
-        built.append(self)
-        check(self)
+    def counting(cls, *entries):
+        built.append(entries)
+        return check(cls, *entries)
 
-    monkeypatch.setattr(Mat2, "__post_init__", counting)
+    monkeypatch.setattr(Mat2, "__new__", counting)
     for w in words:
         evaluate(w)
     assert len(built) == len(words)
     assert len(lst.mats) == len(lst)  # evaluated before counting the graph
     built.clear()
     g = build_graph(lst)
-    assert len(built) <= len(g)
+    # half of these keys are negated representatives, and still no
+    # matrix is built for them
+    assert any(k != m for k, m in zip(g.keys, lst.mats))
+    assert built == []
 
 
 def test_explicit_paper_paths_exist():

@@ -7,7 +7,6 @@ from fundom.cosets import (
     VerificationFailed,
     _coset_key,
     build,
-    gamma1_quotient_reps,
     theta0,
     theta1,
     theta_full,
@@ -26,6 +25,7 @@ from fundom.words import (
 
 from oracles import (
     brute_p1_classes,
+    gamma1_quotient_reps,
     in_gamma0,
     in_gammaN,
     in_pm_gamma1,
@@ -371,13 +371,6 @@ def test_theta_builders_take_m_past_the_window(monkeypatch):
             assert st(j0) * st(m) in reps
 
 
-class _Entries:
-    """A stand-in for Mat2 carrying any four entries, not only det 1."""
-
-    def __init__(self, a, b, c, d):
-        self.a, self.b, self.c, self.d = a, b, c, d
-
-
 def test_coset_keys_equal_the_min_of_both_signs():
     # every 4-tuple mod N, also with negative representatives
     for n in range(2, 10):
@@ -389,9 +382,11 @@ def test_coset_keys_equal_the_min_of_both_signs():
                         neg = tuple((-x) % n for x in (a, b, c, d))
                         full = min((a, b, c, d), neg)
                         row = min((c, d), neg[2:])
+                        # plain 4-tuples stand in for matrices of
+                        # any determinant, not only 1
                         for m in (
-                            _Entries(a, b, c, d),
-                            _Entries(a - n, b - 2 * n, c - n, d + n),
+                            (a, b, c, d),
+                            (a - n, b - 2 * n, c - n, d + n),
                         ):
                             assert _coset_key(m, lvl, Group.GAMMA_FULL) == full
                             assert _coset_key(m, lvl, Group.GAMMA1) == row

@@ -16,9 +16,14 @@ from fundom.domain import (
     triangle_of,
 )
 from fundom.residues import Level
-from fundom.words import Cusp, cusp, make_word, st, word_identity
+from fundom.words import Cusp, cusp, make_word, st
 
-from oracles import matrix_search_witness, oracle_cusp_equivalent, oracle_width
+from oracles import (
+    matrix_search_witness,
+    oracle_cusp_equivalent,
+    oracle_width,
+    word_identity,
+)
 
 L30 = Level(30)
 

@@ -3,7 +3,7 @@ from math import gcd
 from hypothesis import given, settings, strategies as stst
 
 from fundom.projline import big_m, m_table, normalize
-from fundom.residues import Level, gcd_with_level, inv_mod
+from fundom.residues import Level, inv_mod
 from fundom.words import (
     IDENTITY,
     S_MAT,
@@ -16,7 +16,7 @@ from fundom.words import (
     st,
 )
 
-from oracles import in_gamma0, in_gammaN, in_pm_gamma1
+from oracles import gcd_with_level, in_gamma0, in_gammaN, in_pm_gamma1
 
 levels = stst.integers(min_value=2, max_value=120).map(Level)
 

@@ -1,6 +1,8 @@
 import pytest
 
-from fundom.residues import Level, NotAUnit, gcd_with_level, inv_mod
+from fundom.residues import Level, NotAUnit, inv_mod
+
+from oracles import gcd_with_level
 
 
 def test_level_window():

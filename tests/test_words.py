@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from fundom.residues import Level
@@ -15,10 +18,16 @@ from fundom.words import (
     parse_word,
     psl_normalize,
     st,
-    word_identity,
 )
 
-from oracles import in_gamma0, in_gammaN, in_pm_gamma1, parse_cusp, row_map
+from oracles import (
+    in_gamma0,
+    in_gammaN,
+    in_pm_gamma1,
+    parse_cusp,
+    row_map,
+    word_identity,
+)
 
 L6 = Level(6)
 L8 = Level(8)
@@ -92,6 +101,83 @@ def test_generator_relations():
 def test_determinant_enforced():
     with pytest.raises(ValueError):
         Mat2(1, 0, 0, 2)
+
+
+def test_mat2_is_a_checked_tuple():
+    t = (1001, 1000, 1, 1)
+    m = Mat2(*t)
+    assert m == t and hash(m) == hash(t) and tuple(m) == t
+    assert (m.a, m.b, m.c, m.d) == t
+    assert repr(m) == "Mat2(a=1001, b=1000, c=1, d=1)"
+    assert str(m) == "[[1001,1000],[1,1]]"
+    assert m.entries() == t and type(m.entries()) is tuple
+    with pytest.raises(AttributeError):
+        m.a = 5
+    # no per-instance dict, and no namedtuple-style way round __new__
+    assert not hasattr(m, "__dict__")
+    assert not hasattr(Mat2, "_make") and not hasattr(Mat2, "_replace")
+    with pytest.raises(ValueError, match="determinant is not 1"):
+        Mat2(1, 2, 3, 4)
+
+
+def test_mat2_operations_stay_checked_matrices():
+    m = Mat2(2, 3, 1, 2)
+    for out, want in (
+        (m * S_MAT, (3, -2, 2, -1)),
+        (m * m.inverse(), (1, 0, 0, 1)),
+        (m.inverse(), (2, -3, -1, 2)),
+        (m.neg(), (-2, -3, -1, -2)),
+    ):
+        assert type(out) is Mat2 and out == want
+
+
+_COPIERS = [copy.copy, copy.deepcopy] + [
+    lambda m, p=p: pickle.loads(pickle.dumps(m, protocol=p))
+    for p in range(pickle.HIGHEST_PROTOCOL + 1)
+]
+_COPIER_IDS = ["copy", "deepcopy"] + [
+    f"pickle-{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1)
+]
+
+
+@pytest.mark.parametrize("copier", _COPIERS, ids=_COPIER_IDS)
+def test_mat2_copies_round_trip(copier):
+    m = Mat2(1001, 1000, 1, 1)
+    out = copier(m)
+    assert type(out) is Mat2 and out == m
+
+
+@pytest.mark.parametrize("copier", _COPIERS, ids=_COPIER_IDS)
+def test_mat2_copies_go_through_the_check(copier):
+    # a tuple forged past __new__ with determinant 2
+    forged = tuple.__new__(Mat2, (1002, 1000, 1, 1))
+    with pytest.raises(ValueError, match="determinant is not 1"):
+        copier(forged)
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_mat2_unpickling_checks_the_determinant(protocol):
+    # edit the entry 1001 of a pickled Mat2 into 1002 (determinant 2)
+    data = pickle.dumps(Mat2(1001, 1000, 1, 1), protocol=protocol)
+    old, new = (
+        (b"1001", b"1002") if protocol == 0
+        else ((1001).to_bytes(2, "little"), (1002).to_bytes(2, "little"))
+    )
+    assert data.count(old) == 1
+    with pytest.raises(ValueError, match="determinant is not 1"):
+        pickle.loads(data.replace(old, new))
+
+
+def test_mat2_products_of_a_forged_matrix_are_checked():
+    forged = tuple.__new__(Mat2, (1, 2, 3, 4))
+    for make in (
+        lambda: forged * IDENTITY,
+        lambda: IDENTITY * forged,
+        forged.inverse,
+        forged.neg,
+    ):
+        with pytest.raises(ValueError, match="determinant is not 1"):
+            make()
 
 
 def test_row_map():
