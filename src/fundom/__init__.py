@@ -36,7 +36,6 @@ from .cosets import (
 from .cayley import build_graph, is_connected, spanning_tree, to_dot
 from .domain import (
     CuspClassTable,
-    IdealTriangle,
     RenderOptions,
     cusp_equivalent,
     cusp_table,
@@ -44,7 +43,7 @@ from .domain import (
     cusps_of,
     render_json,
     render_svg,
-    triangle_of,
+    triangle_vertices,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -5,7 +5,8 @@ command verifies its list first (disable with --no-verify, which
 watermarks the output).  Exit codes: 0 ok; 1 failed verification,
 unreadable/malformed input, or output that cannot be written (such as
 a pipe whose reader closed early); 2 usage error, including an empty
-sweep and a --N that disagrees with the loaded file.
+sweep, a --N that disagrees with the loaded file, and a render --y-max
+that is not a finite number > 0 or whose canvas height is not finite.
 """
 
 from __future__ import annotations
@@ -183,11 +184,15 @@ def cmd_cusps(args):
 
 
 def cmd_render(args):
+    try:
+        opts = domain.RenderOptions(y_max=args.y_max, labels=args.labels)
+    except ValueError as exc:
+        print(f"error: --y-max: {exc}", file=sys.stderr)
+        raise SystemExit(2)
     lst = _verified_list(args)
     if args.format == "json":
         _write(domain.render_json(lst) + "\n", args.out)
         return
-    opts = domain.RenderOptions(y_max=args.y_max, labels=args.labels)
     svg = domain.render_svg(lst, opts)
     if args.no_verify:
         svg = svg.replace(

@@ -1,10 +1,11 @@
 """Translated ideal triangles, cusp classes and widths, SVG/JSON output.
 
 The base triangle has vertices rho = exp(i pi/3), rho^2 and infinity.
-Each representative word contributes the image triangle under its
-Mobius map.  Vertices are kept in exact form (a matrix acting on rho or
-rho^2, or a reduced rational cusp) and only turned into floats when a
-picture is written.
+Each representative contributes the image triangle under the Mobius
+map of its matrix.  The renderers read the list's matrices as plain
+(a, b, c, d) tuples: the JSON output gives the vertices exactly (a
+matrix acting on rho or rho^2, and a reduced rational cusp), and the
+SVG output turns them into floats once per triangle.
 """
 
 from __future__ import annotations
@@ -12,64 +13,27 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import cycle
 from math import gcd
 
 from .cosets import CosetList
 from .projline import m_table
 from .residues import Level
-from .words import Cusp, GroupWord, Mat2, cusp, evaluate, mobius_cusp
+from .words import Cusp, cusp, mobius_cusp
 
 RHO = complex(0.5, math.sqrt(3) / 2)  # exp(i pi / 3)
+RHO2 = RHO * RHO
 
 
-@dataclass(frozen=True)
-class InteriorVertex:
-    """Image of rho or rho^2 under an integer Mobius map."""
-
-    mat: Mat2
-    base: str  # "rho" or "rho2"
-
-    def value(self) -> complex:
-        z = RHO if self.base == "rho" else RHO * RHO
-        m = self.mat
-        return (m.a * z + m.b) / (m.c * z + m.d)
-
-
-@dataclass(frozen=True)
-class CuspVertex:
-    cusp: Cusp
-
-    def value(self) -> complex | None:
-        """Float position, or None for infinity."""
-        if self.cusp.is_infinity:
-            return None
-        return complex(Fraction(self.cusp.p, self.cusp.q))
-
-
-@dataclass(frozen=True)
-class IdealTriangle:
-    word: GroupWord
-    vertices: tuple  # (rho image, rho^2 image, cusp vertex)
-
-    @property
-    def cusp(self) -> Cusp:
-        return self.vertices[2].cusp
-
-
-def triangle_of(word: GroupWord) -> IdealTriangle:
-    return _triangle(word, evaluate(word))
-
-
-def _triangle(word: GroupWord, m: Mat2) -> IdealTriangle:
-    """The triangle of a word whose matrix m is already known."""
-    return IdealTriangle(
-        word,
-        (
-            InteriorVertex(m, "rho"),
-            InteriorVertex(m, "rho2"),
-            CuspVertex(mobius_cusp(m)),
-        ),
+def triangle_vertices(m) -> tuple:
+    """The images of rho, rho^2 and infinity under the matrix
+    (a, b, c, d): two complex numbers, then the cusp a/c as a float,
+    or None when it is infinity."""
+    a, b, c, d = m
+    return (
+        (a * RHO + b) / (c * RHO + d),
+        (a * RHO2 + b) / (c * RHO2 + d),
+        a / c if c else None,
     )
 
 
@@ -146,14 +110,15 @@ def cusp_table(level: Level) -> CuspClassTable:
     """Cusp classes occurring for Theta_0(N), with widths.
 
     The cusps of the list are 0 (from the S T^i) and -1/j for each
-    nonunit j, including infinity for j = 0; every class of Gamma_0(N)
-    shows up.  Classes are ordered by descending width, infinity and 0
-    placed per the natural d | N order of their representatives.
+    nonunit j, including infinity for j = 0 (from the S T^j S T^m: T
+    fixes infinity, so each has the cusp of S T^j S).  They are read
+    off the M table's nonunits, without building the list.  Every
+    class of Gamma_0(N) shows up.  Classes are ordered by descending
+    width, infinity and 0 placed per the natural d | N order of their
+    representatives.
     """
-    from .cosets import theta0
-
     groups: dict[Cusp, list[Cusp]] = {}
-    for c in dict.fromkeys(cusps_of(theta0(level))):
+    for c in [cusp(0, 1)] + [cusp(-1, j) for j in m_table(level).entries]:
         groups.setdefault(cusp_class_rep(c, level), []).append(c)
     classes = [
         CuspClass(rep, cusp_width(rep, level), sorted(members))
@@ -184,53 +149,14 @@ class RenderOptions:
     scale: float = 240.0  # pixels per unit length
     margin: float = 12.0
 
-
-def _fmt(x: float) -> str:
-    return f"{x:.4f}"
-
-
-class _Canvas:
-    """Maps upper-half-plane coordinates to SVG pixel coordinates."""
-
-    def __init__(self, x_min, x_max, opts: RenderOptions):
-        self.x_min = x_min
-        self.opts = opts
-        self.width = (x_max - x_min) * opts.scale + 2 * opts.margin
-        self.height = opts.y_max * opts.scale + 2 * opts.margin
-
-    def pt(self, x: float, y: float) -> tuple[float, float]:
-        px = (x - self.x_min) * self.opts.scale + self.opts.margin
-        py = self.height - (y * self.opts.scale + self.opts.margin)
-        return px, py
-
-
-def _edge_path(z1, z2, canvas: _Canvas) -> str:
-    """Path fragment for the geodesic between two points, each a
-    complex number or None for infinity."""
-    opts = canvas.opts
-    if z1 is None and z2 is None:
-        return ""
-    if z1 is None or z2 is None:
-        z = z1 if z2 is None else z2
-        x0, y0 = canvas.pt(z.real, min(z.imag, opts.y_max))
-        x1, y1 = canvas.pt(z.real, opts.y_max)
-        return f"M {_fmt(x0)} {_fmt(y0)} L {_fmt(x1)} {_fmt(y1)}"
-    if abs(z1.real - z2.real) < 1e-12:
-        x0, y0 = canvas.pt(z1.real, min(z1.imag, opts.y_max))
-        x1, y1 = canvas.pt(z2.real, min(z2.imag, opts.y_max))
-        return f"M {_fmt(x0)} {_fmt(y0)} L {_fmt(x1)} {_fmt(y1)}"
-    # semicircle orthogonal to the real axis through z1, z2
-    c = (abs(z1) ** 2 - abs(z2) ** 2) / (2 * (z1.real - z2.real))
-    r = abs(z1 - c)
-    x0, y0 = canvas.pt(z1.real, z1.imag)
-    x1, y1 = canvas.pt(z2.real, z2.imag)
-    rr = r * opts.scale
-    # sweep so that the arc bulges upward (screen y is flipped)
-    sweep = 1 if z1.real > z2.real else 0
-    return (
-        f"M {_fmt(x0)} {_fmt(y0)} "
-        f"A {_fmt(rr)} {_fmt(rr)} 0 0 {sweep} {_fmt(x1)} {_fmt(y1)}"
-    )
+    def __post_init__(self):
+        # not (0 < y) also holds for nan; a finite y_max can still
+        # overflow the canvas height
+        if not (0 < self.y_max and math.isfinite(self.y_max * self.scale)):
+            raise ValueError(
+                f"y_max must be a finite number > 0 whose canvas height "
+                f"is finite, got {self.y_max}"
+            )
 
 
 def render_svg(coset_list: CosetList, options: RenderOptions | None = None) -> str:
@@ -239,41 +165,71 @@ def render_svg(coset_list: CosetList, options: RenderOptions | None = None) -> s
     One <path> per triangle (three geodesic edges), colors cycling a
     fixed three-color palette, optional word labels.  Output is
     deterministic for a fixed list and options.
+
+    A point x + iy goes to the pixel ((x - x_min) s + margin,
+    height - (y s + margin)) for the scale s.  Each vertex is formatted
+    once per triangle, as its pixel pair and as that pair clipped at
+    y_max, where the edges up to infinity end.
     """
     opts = options or RenderOptions()
-    triangles = list(map(_triangle, coset_list.reps, coset_list.mats))
-    points = [[v.value() for v in t.vertices] for t in triangles]
+    y_max, scale, margin = opts.y_max, opts.scale, opts.margin
+    points = list(map(triangle_vertices, coset_list.mats))
     xs = [0.0] + [z.real for zs in points for z in zs if z is not None]
-    canvas = _Canvas(min(xs) - 0.1, max(xs) + 0.1, opts)
+    x_min, x_max = min(xs) - 0.1, max(xs) + 0.1
+    width = (x_max - x_min) * scale + 2 * margin
+    height = y_max * scale + 2 * margin
+    top = f"{height - (y_max * scale + margin):.4f}"
+    real_axis = f"{height - margin:.4f}"
+
+    def pixels(z):
+        """The pixel x, the pixel pair and the pair clipped at y_max."""
+        y = z.imag
+        px = f"{(z.real - x_min) * scale + margin:.4f}"
+        pair = f"{px} {height - (y * scale + margin):.4f}"
+        return px, pair, pair if y <= y_max else f"{px} {top}"
+
+    def edge(z1, pair1, clip1, z2, pair2, clip2):
+        """The geodesic from z1 to z2: a vertical segment, clipped at
+        y_max, or the arc of a semicircle orthogonal to the real axis."""
+        if abs(z1.real - z2.real) < 1e-12:
+            return f"M {clip1} L {clip2}"
+        c = (abs(z1) ** 2 - abs(z2) ** 2) / (2 * (z1.real - z2.real))
+        r = f"{abs(z1 - c) * scale:.4f}"
+        # sweep so that the arc bulges upward (screen y is flipped)
+        sweep = 1 if z1.real > z2.real else 0
+        return f"M {pair1} A {r} {r} 0 0 {sweep} {pair2}"
+
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" '
-        f'width="{_fmt(canvas.width)}" height="{_fmt(canvas.height)}" '
-        f'viewBox="0 0 {_fmt(canvas.width)} {_fmt(canvas.height)}">'
+        f'width="{width:.4f}" height="{height:.4f}" '
+        f'viewBox="0 0 {width:.4f} {height:.4f}">'
     ]
-    for idx, (t, (v1, v2, vc)) in enumerate(zip(triangles, points)):
-        d = " ".join(
-            p
-            for p in (
-                _edge_path(v1, v2, canvas),
-                _edge_path(v2, vc, canvas),
-                _edge_path(vc, v1, canvas),
+    for (v1, v2, vc), color, word in zip(
+        points, cycle(opts.palette), coset_list.reps
+    ):
+        x1, pair1, clip1 = pixels(v1)
+        x2, pair2, clip2 = pixels(v2)
+        if vc is None:
+            to_cusp = f"M {clip2} L {x2} {top} M {clip1} L {x1} {top}"
+        else:
+            # RenderOptions keeps y_max > 0, so a real cusp is never clipped
+            pc = f"{(vc - x_min) * scale + margin:.4f} {real_axis}"
+            to_cusp = (
+                f"{edge(v2, pair2, clip2, vc, pc, pc)} "
+                f"{edge(vc, pc, pc, v1, pair1, clip1)}"
             )
-            if p
-        )
-        color = opts.palette[idx % len(opts.palette)]
         parts.append(
-            f'<path d="{d}" fill="none" stroke="{color}" stroke-width="1"/>'
+            f'<path d="{edge(v1, pair1, clip1, v2, pair2, clip2)} {to_cusp}" '
+            f'fill="none" stroke="{color}" stroke-width="1"/>'
         )
         if opts.labels:
             finite = [z for z in (v1, v2, vc) if z is not None]
             cx = sum(z.real for z in finite) / len(finite)
-            cy = min(
-                sum(z.imag for z in finite) / len(finite), opts.y_max * 0.9
-            )
-            px, py = canvas.pt(cx, cy)
+            cy = min(sum(z.imag for z in finite) / len(finite), y_max * 0.9)
             parts.append(
-                f'<text x="{_fmt(px)}" y="{_fmt(py)}" font-size="8" '
-                f'text-anchor="middle">{t.word}</text>'
+                f'<text x="{(cx - x_min) * scale + margin:.4f}" '
+                f'y="{height - (cy * scale + margin):.4f}" font-size="8" '
+                f'text-anchor="middle">{word}</text>'
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -282,24 +238,20 @@ def render_svg(coset_list: CosetList, options: RenderOptions | None = None) -> s
 def render_json(coset_list: CosetList) -> str:
     """Machine-readable triangles with exact vertex descriptions."""
     records = []
-    for t in map(_triangle, coset_list.reps, coset_list.mats):
-        verts = []
-        for v in t.vertices:
-            if isinstance(v, CuspVertex):
-                verts.append(
-                    {"type": "cusp", "p": v.cusp.p, "q": v.cusp.q}
-                )
-            else:
-                m = v.mat
-                verts.append(
-                    {
-                        "type": "interior",
-                        "matrix": [[m.a, m.b], [m.c, m.d]],
-                        "base": v.base,
-                    }
-                )
+    for w, m in zip(coset_list.reps, coset_list.mats):
+        a, b, c, d = m
+        matrix = [[a, b], [c, d]]
+        cz = mobius_cusp(m)
         records.append(
-            {"word": str(t.word), "cusp": str(t.cusp), "vertices": verts}
+            {
+                "word": str(w),
+                "cusp": str(cz),
+                "vertices": [
+                    {"type": "interior", "matrix": matrix, "base": "rho"},
+                    {"type": "interior", "matrix": matrix, "base": "rho2"},
+                    {"type": "cusp", "p": cz.p, "q": cz.q},
+                ],
+            }
         )
     doc = {
         "N": coset_list.level.n,

@@ -165,3 +165,19 @@ def brute_p1_classes(n: int):
             )
             classes[min(orbit)] = orbit
     return list(classes.values())
+
+
+def list_cusp_classes(level: Level) -> dict:
+    """Class rep -> (width, sorted members) over the cusps of the
+    evaluated list Theta_0(N): builds the list and classifies the cusp
+    of every one of its matrices."""
+    from fundom.cosets import theta0
+    from fundom.domain import cusp_class_rep, cusp_width, cusps_of
+
+    groups = {}
+    for c in set(cusps_of(theta0(level))):
+        groups.setdefault(cusp_class_rep(c, level), []).append(c)
+    return {
+        rep: (cusp_width(rep, level), sorted(members))
+        for rep, members in groups.items()
+    }

@@ -204,6 +204,17 @@ def test_render_no_verify_watermark(capsys):
     assert "UNVERIFIED" in out
 
 
+@pytest.mark.parametrize("y_max", ["nan", "inf", "-inf", "-1", "0", "1e308"])
+@pytest.mark.parametrize("fmt", ["svg", "json"])
+def test_render_bad_y_max_is_usage_error(capsys, y_max, fmt):
+    code, out, err = run(
+        capsys, "render", "--N", "6", f"--y-max={y_max}", "--format", fmt
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: --y-max")
+
+
 def test_graph_dot(capsys):
     code, out, _ = run(capsys, "graph", "--N", "6", "--group", "gamma0")
     assert code == 0

@@ -1,5 +1,9 @@
 import json
+import math
 
+import pytest
+
+import fundom
 from fundom.cosets import theta0, verify
 from fundom.domain import (
     RHO,
@@ -13,12 +17,13 @@ from fundom.domain import (
     cusps_of,
     render_json,
     render_svg,
-    triangle_of,
+    triangle_vertices,
 )
 from fundom.residues import Level
-from fundom.words import Cusp, cusp, make_word, st
+from fundom.words import Cusp, cusp, evaluate, make_word, mobius_cusp, st
 
 from oracles import (
+    list_cusp_classes,
     matrix_search_witness,
     oracle_cusp_equivalent,
     oracle_width,
@@ -29,31 +34,33 @@ L30 = Level(30)
 
 
 def test_triangle_of_identity():
-    t = triangle_of(word_identity())
-    v1, v2, vc = t.vertices
-    assert abs(v1.value() - RHO) < 1e-12
-    assert abs(v2.value() - RHO * RHO) < 1e-12
-    assert vc.cusp == Cusp(1, 0)
+    m = evaluate(word_identity())
+    v1, v2, vc = triangle_vertices(m)
+    assert abs(v1 - RHO) < 1e-12
+    assert abs(v2 - RHO * RHO) < 1e-12
+    assert vc is None
+    assert mobius_cusp(m) == Cusp(1, 0)
 
 
 def test_triangle_of_s():
-    t = triangle_of(make_word(("S",)))
-    assert t.cusp == Cusp(0, 1)
+    m = evaluate(make_word(("S",)))
+    assert mobius_cusp(m) == Cusp(0, 1)
+    assert triangle_vertices(m)[2] == 0
     # S maps rho to -1/rho = rho^2 - 1 ... check numerically
-    z = t.vertices[0].value()
+    z = triangle_vertices(m)[0]
     assert abs(z - (-1 / RHO)) < 1e-12
 
 
 def test_triangle_cusp_minus_one_over_j():
     for j in (2, 3, -2, 5):
-        t = triangle_of(st(j) * st(1))
-        assert t.cusp == cusp(-1, j)
+        m = evaluate(st(j) * st(1))
+        assert mobius_cusp(m) == cusp(-1, j)
+        assert triangle_vertices(m)[2] == -1 / j
 
 
 def test_triangle_vertices_distinct():
-    for w in theta0(Level(6)).reps:
-        t = triangle_of(w)
-        zs = [v.value() for v in t.vertices]
+    for m in theta0(Level(6)).mats:
+        zs = triangle_vertices(m)
         finite = [z for z in zs if z is not None]
         for i in range(len(finite)):
             for k in range(i + 1, len(finite)):
@@ -107,6 +114,37 @@ def test_cusp_table_n4():
     table = cusp_table(Level(4))
     got = {str(cl.rep): cl.width for cl in table.classes}
     assert got == {"oo": 1, "0/1": 4, "1/2": 1}
+
+
+def test_cusp_table_matches_the_list_it_summarises():
+    for n in range(2, 201):
+        lvl = Level(n)
+        table = cusp_table(lvl)
+        got = {cl.rep: (cl.width, cl.members) for cl in table.classes}
+        assert got == list_cusp_classes(lvl), n
+        members = [c for cl in table.classes for c in cl.members]
+        assert len(members) == len(set(members))
+        assert set(members) == set(cusps_of(theta0(lvl))), n
+
+
+def test_cusp_table_builds_no_list(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for module in (fundom.cosets, fundom.words, fundom.domain):
+        for name in ("theta0", "evaluate"):
+            if hasattr(module, name):
+                fn = getattr(module, name)
+                monkeypatch.setattr(module, name, counting(name, fn))
+    table = cusp_table(Level(84))
+    assert table.total_width() == 192
+    assert calls == []
 
 
 def test_width_examples():
@@ -189,6 +227,13 @@ def test_render_svg_counts_and_determinism():
     assert "ST^3ST" in svg1
 
 
+def test_render_options_reject_a_bad_y_max():
+    for y_max in (math.nan, math.inf, -math.inf, -1.0, 0.0, 1e308):
+        with pytest.raises(ValueError):
+            RenderOptions(y_max=y_max)
+    assert RenderOptions(y_max=1e-3).y_max == 1e-3
+
+
 def test_render_svg_single_triangle():
     from fundom.cosets import CosetList, Group
 
@@ -230,12 +275,11 @@ def test_adjacent_triangles_share_edge():
     lvl = Level(6)
     lst = theta0(lvl)
     g = build_graph(lst)
-    tris = [triangle_of(w) for w in lst.reps]
+    tris = [triangle_vertices(m) for m in lst.mats]
 
-    def vertex_set(t):
+    def vertex_set(zs):
         out = set()
-        for v in t.vertices:
-            z = v.value()
+        for z in zs:
             out.add("oo" if z is None else (round(z.real, 9), round(z.imag, 9)))
         return out
 

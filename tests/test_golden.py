@@ -4,7 +4,11 @@ and of the list, render and graph outputs of Gamma_0/Gamma_1 at N = 64.
 The N = 6 and 30 digests were taken before the P^1 table, the cusp-table
 rows and the renderers were refactored, the N = 64 ones before words,
 cosets and the generator graph moved to plain-int arithmetic; any change
-of a byte in these outputs fails.
+of a byte in these outputs fails.  The --y-max digests were taken
+before `render_svg` moved to plain floats.  No vertex lies above
+sqrt(3)/2, so the default y_max of 2.2 clips nothing; y_max 0.9 and 1.0
+move only the canvas and the ends of the edges up to infinity, and
+y_max 0.5 and 0.6 clip the vertical edges and the labels too.
 """
 
 import hashlib
@@ -126,6 +130,16 @@ GOLDEN = {
         "f4759a08d37bbb798aa87b41dcd91e96f088712171f3ca4e518da131a1d137bf",
     "graph --N 64 --group gamma1":
         "c35c079991b70c3f4b02798b810aa39ba423ea126574292b4b208a40579fba58",
+    "render --N 30 --y-max 0.6":
+        "3de1dfc93cbd750a7c65b799e1c92ef1a5b5c3bd6b7a02a424b2b3e92e060987",
+    "render --N 64 --group gamma1 --y-max 0.9":
+        "4a6f2e798d845cc67bfc69c5b7a94a30cb0767fe9a8d0291729be6ce9be3c089",
+    "render --N 12 --group gammaN --y-max 1.0 --labels":
+        "829efd29bc353eb98c1a59d2d9a742cc81b81cd963acfbe29dfcc706f77a4704",
+    "render --N 64 --group gamma1 --y-max 0.5":
+        "cbf4c203e3fbebca88337a312187968c3f373751a437464033385c74f75b73dd",
+    "render --N 12 --group gammaN --y-max 0.5 --labels":
+        "ca739ba5f8abd71876770220c2976963a9c4489055570d677b4ec9dcfcc5fbba",
 }
 
 
