@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from itertools import cycle
 from math import gcd
 
+from . import cosets
 from .cosets import CosetList
 from .projline import m_table
 from .residues import Level
@@ -109,16 +110,15 @@ class CuspClassTable:
 def cusp_table(level: Level) -> CuspClassTable:
     """Cusp classes occurring for Theta_0(N), with widths.
 
-    The cusps of the list are 0 (from the S T^i) and -1/j for each
-    nonunit j, including infinity for j = 0 (from the S T^j S T^m: T
-    fixes infinity, so each has the cusp of S T^j S).  They are read
-    off the M table's nonunits, without building the list.  Every
-    class of Gamma_0(N) shows up.  Classes are ordered by descending
-    width, infinity and 0 placed per the natural d | N order of their
-    representatives.
+    The table summarises the list `cosets.theta0(level)` builds: its
+    cusps are 0 (from the S T^i) and -1/j for each nonunit j, including
+    infinity for j = 0 (from the S T^j S T^m: T fixes infinity, so each
+    has the cusp of S T^j S).  Every class of Gamma_0(N) shows up.
+    Classes are ordered by descending width, infinity and 0 placed per
+    the natural d | N order of their representatives.
     """
     groups: dict[Cusp, list[Cusp]] = {}
-    for c in [cusp(0, 1)] + [cusp(-1, j) for j in m_table(level).entries]:
+    for c in dict.fromkeys(cusps_of(cosets.theta0(level))):
         groups.setdefault(cusp_class_rep(c, level), []).append(c)
     classes = [
         CuspClass(rep, cusp_width(rep, level), sorted(members))
