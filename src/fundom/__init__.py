@@ -21,7 +21,6 @@ from .words import (
     make_word,
     mobius_cusp,
     parse_word,
-    psl_normalize,
     st,
 )
 from .cosets import (

@@ -51,13 +51,6 @@ class CayleyGraph:
             for nbrs in zip(self.s_nbr, self.t_nbr, self.u_nbr)
         ]
 
-    def default_root(self) -> int:
-        """First vertex equal to S in PSL2, else vertex 0."""
-        try:
-            return self.keys.index(_S_KEY)
-        except ValueError:
-            return 0
-
 
 @dataclass
 class SpanningTree:
@@ -91,8 +84,8 @@ class SpanningTree:
 def build_graph(coset_list: CosetList) -> CayleyGraph:
     """Adjacency by hashing each vertex times S, T, T^-1 against the
     vertex set; O(n) instead of pairwise testing."""
-    # psl_sign: as det = 1, the sign of c, or of d when c = 0; a Mat2
-    # with that sign positive is its own key
+    # as det = 1, the first nonzero of (c, d, a, b) is c, or d when
+    # c = 0; a Mat2 with that entry positive is its own key
     keys = [
         m if (m[2] or m[3]) > 0 else (-m[0], -m[1], -m[2], -m[3])
         for m in coset_list.mats
@@ -150,14 +143,13 @@ def is_connected(g: CayleyGraph) -> bool:
     return 0 not in seen
 
 
-def spanning_tree(g: CayleyGraph, root: int | None = None) -> SpanningTree:
-    """BFS tree of the root's component, deterministic in list order."""
-    if root is None:
-        root = g.default_root()
-    return _bfs(g, root)
-
-
-def _bfs(g: CayleyGraph, root: int) -> SpanningTree:
+def spanning_tree(g: CayleyGraph) -> SpanningTree:
+    """BFS tree of the root's component, deterministic in list order.
+    The root is the first vertex equal to S in PSL2, else vertex 0."""
+    try:
+        root = g.keys.index(_S_KEY)
+    except ValueError:
+        root = 0
     s_nbr, t_nbr, u_nbr = g.s_nbr, g.t_nbr, g.u_nbr
     parent: dict[int, int] = {}
     seen = bytearray(len(g) + 1)
@@ -189,16 +181,12 @@ def _bfs(g: CayleyGraph, root: int) -> SpanningTree:
     return SpanningTree(root, parent)
 
 
-def to_dot(
-    g: CayleyGraph, tree: SpanningTree | None = None, tree_only: bool = False
-) -> str:
+def to_dot(g: CayleyGraph, tree: SpanningTree, tree_only: bool = False) -> str:
     """DOT rendering with word labels; tree edges drawn bold."""
     lines = ["graph cayley {"]
     for i, w in enumerate(g.words):
         lines.append(f'  v{i} [label="{w}"];')
-    tree_edges = set()
-    if tree is not None:
-        tree_edges = {frozenset(e) for e in tree.edges()}
+    tree_edges = {frozenset(e) for e in tree.edges()}
     for i in range(len(g)):
         for j in g.adj[i]:
             if j <= i:

@@ -5,8 +5,10 @@ command verifies its list first (disable with --no-verify, which
 watermarks the output).  Exit codes: 0 ok; 1 failed verification,
 unreadable/malformed input, or output that cannot be written (such as
 a pipe whose reader closed early); 2 usage error, including an empty
-sweep, a --N that disagrees with the loaded file, and a render --y-max
-that is not a finite number > 0 or whose canvas height is not finite.
+sweep, --sweep together with --N or --load, a --N that disagrees with
+the loaded file, and a render --y-max that is not a finite number > 0
+or whose canvas height is not finite.  Commands return their exit code
+or raise CliError; main prints every `error:` line.
 """
 
 from __future__ import annotations
@@ -21,18 +23,19 @@ from .cosets import CosetList, Group, VerificationFailed
 from .residues import Level
 
 
+class CliError(Exception):
+    """A failure that main reports as one `error:` line and exit code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
 def _level(n: int) -> Level:
     try:
         return Level(n)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from exc
-
-
-def _groups(name: str) -> list[Group]:
-    if name == "all":
-        return [Group.GAMMA0, Group.GAMMA1, Group.GAMMA_FULL]
-    return [Group(name)]
+        raise CliError(2, str(exc)) from exc
 
 
 def _parse_sweep(text: str) -> range:
@@ -40,11 +43,9 @@ def _parse_sweep(text: str) -> range:
     try:
         levels = range(int(lo), int(hi) + 1)
     except ValueError:
-        print(f"error: bad sweep range {text!r}", file=sys.stderr)
-        raise SystemExit(2)
+        raise CliError(2, f"bad sweep range {text!r}") from None
     if not levels:
-        print(f"error: empty sweep range {text!r}", file=sys.stderr)
-        raise SystemExit(2)
+        raise CliError(2, f"empty sweep range {text!r}")
     return levels
 
 
@@ -59,8 +60,7 @@ def _write(text: str, out: str | None):
         with open(out, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(1)
+        raise CliError(1, str(exc)) from exc
 
 
 def _write_stdout(text: str):
@@ -83,22 +83,18 @@ def _write_stdout(text: str):
 
 def _verified_list(args) -> CosetList:
     lst = cosets.build(_level(args.N), Group(args.group))
-    if getattr(args, "no_verify", False):
-        return lst
-    try:
+    if not args.no_verify:
         cosets.verify(lst)
-    except VerificationFailed as exc:
-        print(exc.report, file=sys.stderr)
-        raise SystemExit(1)
     return lst
 
 
-def cmd_list(args):
+def cmd_list(args) -> int:
     lst = _verified_list(args)
     if args.format == "json":
         _write(lst.to_json() + "\n", args.out)
     else:
         _write("".join(f"{w}\n" for w in lst.reps), args.out)
+    return 0
 
 
 def _check_one(lst: CosetList) -> bool:
@@ -120,102 +116,98 @@ def _load(args) -> CosetList:
     try:
         with open(args.load) as fh:
             lst = CosetList.from_json(fh.read())
-        if type(lst.level.n) is not int:
-            raise ValueError(f"N must be an integer, got {lst.level.n!r}")
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        print(f"error: cannot load {args.load}: {detail}", file=sys.stderr)
-        raise SystemExit(1)
+        raise CliError(1, f"cannot load {args.load}: {detail}") from exc
     if args.N is not None and args.N != lst.level.n:
-        print(
-            f"error: --N {args.N} but {args.load} holds N={lst.level.n}",
-            file=sys.stderr,
+        raise CliError(
+            2, f"--N {args.N} but {args.load} holds N={lst.level.n}"
         )
-        raise SystemExit(2)
     return lst
 
 
-def cmd_verify(args):
-    if args.load:
-        raise SystemExit(0 if _check_one(_load(args)) else 1)
-    levels = _parse_sweep(args.sweep) if args.sweep else [args.N]
+def cmd_verify(args) -> int:
+    if args.sweep is not None:
+        if args.N is not None or args.load is not None:
+            raise CliError(2, "--sweep cannot be combined with --N or --load")
+        levels = _parse_sweep(args.sweep)
+    elif args.load is not None:
+        return 0 if _check_one(_load(args)) else 1
+    elif args.N is not None:
+        levels = [args.N]
+    else:
+        raise CliError(2, "verify needs --N, --sweep or --load")
+    groups = list(Group) if args.group == "all" else [Group(args.group)]
     failed = False
     for n in levels:
         level = _level(n)
-        for group in _groups(args.group):
-            lst = cosets.build(level, group)
-            if not _check_one(lst):
+        for group in groups:
+            if not _check_one(cosets.build(level, group)):
                 failed = True
-    raise SystemExit(1 if failed else 0)
+    return 1 if failed else 0
 
 
-def cmd_mtable(args):
+def cmd_mtable(args) -> int:
     level = _level(args.N)
     mt = projline.m_table(level)
     dist = projline.m_distribution(level)
     if args.format == "json":
-        _write(
-            json.dumps(
-                {
-                    "N": level.n,
-                    "M_j": {str(j): m for j, m in mt.entries.items()},
-                    "distribution": {str(m): c for m, c in dist.items()},
-                },
-                indent=1,
-            )
-            + "\n",
-            args.out,
-        )
-        return
+        doc = {
+            "N": level.n,
+            "M_j": {str(j): m for j, m in mt.entries.items()},
+            "distribution": {str(m): c for m, c in dist.items()},
+        }
+        _write(json.dumps(doc, indent=1) + "\n", args.out)
+        return 0
     sep = "," if args.format == "csv" else "\t"
     lines = [f"j{sep}M_j"]
     lines += [f"{j}{sep}{m}" for j, m in mt.entries.items()]
     lines.append(f"M{sep}classes")
     lines += [f"{m}{sep}{c}" for m, c in dist.items()]
     _write("\n".join(lines) + "\n", args.out)
+    return 0
 
 
-def cmd_cusps(args):
+def cmd_cusps(args) -> int:
     level = _level(args.N)
     if args.format == "csv":
         _write(domain.cusp_tables_csv(level), args.out)
     else:
         _write(domain.cusp_tables_text(level), args.out)
+    return 0
 
 
-def cmd_render(args):
+def cmd_render(args) -> int:
     try:
         opts = domain.RenderOptions(y_max=args.y_max, labels=args.labels)
     except ValueError as exc:
-        print(f"error: --y-max: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        raise CliError(2, f"--y-max: {exc}") from exc
     lst = _verified_list(args)
     if args.format == "json":
         _write(domain.render_json(lst) + "\n", args.out)
-        return
+        return 0
     svg = domain.render_svg(lst, opts)
     if args.no_verify:
-        svg = svg.replace(
-            "<svg ", "<!-- UNVERIFIED LIST -->\n<svg ", 1
-        )
+        svg = svg.replace("<svg ", "<!-- UNVERIFIED LIST -->\n<svg ", 1)
     _write(svg, args.out)
+    return 0
 
 
-def cmd_graph(args):
+def cmd_graph(args) -> int:
     lst = _verified_list(args)
     graph = cayley.build_graph(lst)
     tree = cayley.spanning_tree(graph)
     _write(cayley.to_dot(graph, tree, tree_only=args.tree_only), args.out)
+    return 0
+
+
+GROUP_NAMES = [g.value for g in Group]
 
 
 def _add_common(p, group=True, fmt=None, default_fmt=None):
     p.add_argument("--N", type=int, required=True)
     if group:
-        p.add_argument(
-            "--group",
-            choices=["gamma0", "gamma1", "gammaN"],
-            default="gamma0",
-        )
+        p.add_argument("--group", choices=GROUP_NAMES, default="gamma0")
     p.add_argument("--out", "-o", default=None)
     if fmt:
         p.add_argument("--format", choices=fmt, default=default_fmt)
@@ -237,11 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify lists and connectivity")
     p.add_argument("--N", type=int)
     p.add_argument("--sweep", help="inclusive range a..b of levels")
-    p.add_argument(
-        "--group",
-        choices=["gamma0", "gamma1", "gammaN", "all"],
-        default="gamma0",
-    )
+    p.add_argument("--group", choices=GROUP_NAMES + ["all"], default="gamma0")
     p.add_argument("--load", help="verify a list loaded from a JSON file")
     p.set_defaults(func=cmd_verify)
 
@@ -271,15 +259,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "command", None) == "verify":
-        if args.N is None and not args.sweep and not args.load:
-            print(
-                "error: verify needs --N, --sweep or --load", file=sys.stderr
-            )
-            return 2
     try:
-        code = _run(args)
+        code = args.func(args)
         sys.stdout.flush()
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
+    except VerificationFailed as exc:
+        print(exc.report, file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # the reader closed early; point stdout at devnull so the
         # flush at exit stays silent
@@ -287,14 +275,6 @@ def main(argv=None) -> int:
         print("error: output closed before it was written", file=sys.stderr)
         return 1
     return code
-
-
-def _run(args) -> int:
-    try:
-        args.func(args)
-    except SystemExit as exc:
-        return exc.code or 0
-    return 0
 
 
 if __name__ == "__main__":

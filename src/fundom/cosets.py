@@ -204,10 +204,6 @@ def _coset_keys(mats, level: Level, group: Group) -> list:
     return keys
 
 
-def _coset_key(m, level: Level, group: Group):
-    return _coset_keys([m], level, group)[0]
-
-
 def _expected_count(level: Level, group: Group) -> int:
     """Size of the coset space, counted directly.
 

@@ -141,18 +141,20 @@ def _class_order(cl: CuspClass):
 # rendering
 
 
+PALETTE = ("#c0392b", "#2980b9", "#27ae60")
+SCALE = 240.0  # pixels per unit length
+MARGIN = 12.0
+
+
 @dataclass
 class RenderOptions:
     y_max: float = 2.2
     labels: bool = False
-    palette: tuple = ("#c0392b", "#2980b9", "#27ae60")
-    scale: float = 240.0  # pixels per unit length
-    margin: float = 12.0
 
     def __post_init__(self):
         # not (0 < y) also holds for nan; a finite y_max can still
         # overflow the canvas height
-        if not (0 < self.y_max and math.isfinite(self.y_max * self.scale)):
+        if not (0 < self.y_max and math.isfinite(self.y_max * SCALE)):
             raise ValueError(
                 f"y_max must be a finite number > 0 whose canvas height "
                 f"is finite, got {self.y_max}"
@@ -172,7 +174,7 @@ def render_svg(coset_list: CosetList, options: RenderOptions | None = None) -> s
     y_max, where the edges up to infinity end.
     """
     opts = options or RenderOptions()
-    y_max, scale, margin = opts.y_max, opts.scale, opts.margin
+    y_max, scale, margin = opts.y_max, SCALE, MARGIN
     points = list(map(triangle_vertices, coset_list.mats))
     xs = [0.0] + [z.real for zs in points for z in zs if z is not None]
     x_min, x_max = min(xs) - 0.1, max(xs) + 0.1
@@ -205,7 +207,7 @@ def render_svg(coset_list: CosetList, options: RenderOptions | None = None) -> s
         f'viewBox="0 0 {width:.4f} {height:.4f}">'
     ]
     for (v1, v2, vc), color, word in zip(
-        points, cycle(opts.palette), coset_list.reps
+        points, cycle(PALETTE), coset_list.reps
     ):
         x1, pair1, clip1 = pixels(v1)
         x2, pair2, clip2 = pixels(v2)

@@ -24,6 +24,8 @@ class Level:
     n: int
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise ValueError(f"level must be an int, got {self.n!r}")
         if self.n < 2:
             raise ValueError(f"level must be >= 2, got {self.n}")
 

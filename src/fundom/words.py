@@ -195,10 +195,6 @@ class Cusp:
         if self.q == 0 and self.p != 1:
             raise ValueError("infinity must be stored as 1/0")
 
-    @property
-    def is_infinity(self) -> bool:
-        return self.q == 0
-
     def __str__(self):
         return "oo" if self.q == 0 else f"{self.p}/{self.q}"
 
@@ -223,16 +219,3 @@ def mobius_cusp(m: Mat2) -> Cusp:
     """Image of infinity under m, i.e. a/c."""
     return cusp(m.a, m.c)
 
-
-# ---------------------------------------------------------------------------
-# PSL2 normalization
-
-
-def psl_sign(a: int, b: int, c: int, d: int) -> int:
-    """The sign making the first nonzero of (c, d, a, b) positive."""
-    return 1 if (c or d or a or b) > 0 else -1
-
-
-def psl_normalize(m: Mat2) -> Mat2:
-    """m or -m, whichever has the first nonzero of (c, d, a, b) positive."""
-    return m if psl_sign(m.a, m.b, m.c, m.d) > 0 else m.neg()

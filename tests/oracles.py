@@ -9,6 +9,7 @@ Group membership is read off the entries mod N directly.
 
 from math import gcd
 
+from fundom.cosets import _coset_keys
 from fundom.residues import Level, inv_mod
 from fundom.words import INFINITY, Cusp, GroupWord, Mat2, cusp, make_word, st
 
@@ -36,6 +37,17 @@ def gamma1_quotient_reps(level: Level) -> list[GroupWord]:
 def row_map(m: Mat2, level: Level) -> tuple[int, int]:
     """Bottom row (c, d) reduced mod N, in symmetric form."""
     return (level.reduce(m.c), level.reduce(m.d))
+
+
+def psl_normalize(m: Mat2) -> Mat2:
+    """m or -m, whichever has the first nonzero of (c, d, a, b) positive:
+    the sign rule the generator graph's keys are checked against."""
+    return m if (m.c or m.d or m.a or m.b) > 0 else m.neg()
+
+
+def coset_key(m, level: Level, group):
+    """The verification key of one matrix (a, b, c, d)."""
+    return _coset_keys([m], level, group)[0]
 
 
 def parse_cusp(s: str) -> Cusp:

@@ -22,11 +22,10 @@ from fundom.words import (
     Mat2,
     evaluate,
     make_word,
-    psl_normalize,
     st,
 )
 
-from oracles import gamma1_quotient_reps
+from oracles import gamma1_quotient_reps, psl_normalize
 
 
 def list_of(words, n=6, group=Group.GAMMA0):
@@ -87,10 +86,12 @@ def test_spanning_tree_theta0_6():
 
 
 def test_default_root_is_s_else_vertex_0():
-    assert build_graph(list_of([st(1), make_word(("S",))])).default_root() == 1
-    neg_s = make_word(("S",), sign=-1)
-    assert build_graph(list_of([st(1), neg_s])).default_root() == 1
-    assert build_graph(list_of([st(1), st(2)])).default_root() == 0
+    def root(words):
+        return spanning_tree(build_graph(list_of(words))).root
+
+    assert root([st(1), make_word(("S",))]) == 1
+    assert root([st(1), make_word(("S",), sign=-1)]) == 1
+    assert root([st(1), st(2)]) == 0
 
 
 def test_spanning_tree_singleton():

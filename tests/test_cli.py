@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import fundom
+from fundom import cosets
 from fundom.cli import main
 from fundom.cosets import theta0, verify
 from fundom.residues import Level
@@ -36,21 +37,10 @@ def test_list_text(capsys):
     assert out == lines0  # Gamma_1(6) list equals Gamma_0(6) list
 
 
-def test_list_bad_level(capsys):
-    code, _, err = run(capsys, "list", "--N", "1")
-    assert code == 2
-    assert "level" in err
-
-
 def test_verify_single(capsys):
     code, out, _ = run(capsys, "verify", "--N", "30", "--group", "gamma0")
     assert code == 0
     assert "pass" in out and "connected" in out
-
-
-def test_verify_requires_range(capsys):
-    code, _, err = run(capsys, "verify", "--group", "gamma0")
-    assert code == 2
 
 
 def test_verify_sweep_all(capsys):
@@ -95,12 +85,50 @@ def test_verify_load_without_n(tmp_path, capsys):
     assert "gamma0 N=12: pass" in out
 
 
-def test_verify_load_n_mismatch(tmp_path, capsys):
-    path = _saved_list(tmp_path)
-    code, out, err = run(capsys, "verify", "--N", "99", "--load", str(path))
-    assert code == 2
+@pytest.mark.parametrize(
+    "argv, code, fragment",
+    [
+        (["list", "--N", "1"], 2, "level"),
+        (["verify", "--group", "gamma0"], 2, "verify needs"),
+        (["verify", "--sweep", "5..3"], 2, "empty sweep"),
+        (["verify", "--sweep", "3..2"], 2, "empty sweep"),
+        (["verify", "--sweep", "2"], 2, "bad sweep range"),
+        (["verify", "--N", "99", "--load", "{list}"], 2, "N=12"),
+        (["verify", "--N", "6", "--sweep", "2..4"], 2, "--sweep"),
+        (["verify", "--sweep", "2..3", "--load", "{list}"], 2, "--sweep"),
+        (["list", "--N", "6", "-o", "{missing}/x.json"], 1, "x.json"),
+    ],
+    ids=[
+        "list-bad-level", "verify-no-range", "empty-sweep-5..3",
+        "empty-sweep-3..2", "sweep-not-a-range", "load-n-mismatch",
+        "sweep-with-n", "sweep-with-load", "out-dir-missing",
+    ],
+)
+def test_error_exits_with_one_error_line(tmp_path, capsys, argv, code,
+                                         fragment):
+    paths = {"list": _saved_list(tmp_path), "missing": tmp_path / "missing"}
+    argv = [a.format(**paths) for a in argv]
+    got, out, err = run(capsys, *argv)
+    assert got == code
     assert out == ""
-    assert err.startswith("error:") and "N=12" in err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert fragment in err
+
+
+@pytest.mark.parametrize("cmd", ["list", "render", "graph"])
+def test_failed_verification_exits_1_with_the_report(
+    monkeypatch, capsys, cmd
+):
+    def with_duplicate(level):
+        lst = theta0(level)
+        lst.reps[-1] = lst.reps[0]  # same length, one coset twice
+        return lst
+
+    monkeypatch.setattr(cosets, "theta0", with_duplicate)
+    code, out, err = run(capsys, cmd, "--N", "6")
+    assert code == 1
+    assert out == ""
+    assert "duplicate coset" in err
 
 
 GOOD_DOC = {"N": 6, "group": "gamma0", "reps": [{"word": "ST"}]}
@@ -133,13 +161,6 @@ def test_verify_load_malformed_fails_closed(tmp_path, capsys, text):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("sweep", ["5..3", "3..2"])
-def test_verify_empty_sweep_is_usage_error(capsys, sweep):
-    code, out, err = run(capsys, "verify", "--sweep", sweep)
-    assert code == 2
-    assert out == "" and "empty sweep" in err
 
 
 def test_mtable(capsys):

@@ -5,7 +5,6 @@ from fundom.cosets import (
     CosetList,
     Group,
     VerificationFailed,
-    _coset_key,
     build,
     theta0,
     theta1,
@@ -25,6 +24,7 @@ from fundom.words import (
 
 from oracles import (
     brute_p1_classes,
+    coset_key,
     gamma1_quotient_reps,
     in_gamma0,
     in_gammaN,
@@ -388,5 +388,5 @@ def test_coset_keys_equal_the_min_of_both_signs():
                             (a, b, c, d),
                             (a - n, b - 2 * n, c - n, d + n),
                         ):
-                            assert _coset_key(m, lvl, Group.GAMMA_FULL) == full
-                            assert _coset_key(m, lvl, Group.GAMMA1) == row
+                            assert coset_key(m, lvl, Group.GAMMA_FULL) == full
+                            assert coset_key(m, lvl, Group.GAMMA1) == row

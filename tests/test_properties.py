@@ -12,11 +12,17 @@ from fundom.words import (
     evaluate,
     make_word,
     parse_word,
-    psl_normalize,
     st,
 )
 
-from oracles import gcd_with_level, in_gamma0, in_gammaN, in_pm_gamma1
+from oracles import (
+    coset_key,
+    gcd_with_level,
+    in_gamma0,
+    in_gammaN,
+    in_pm_gamma1,
+    psl_normalize,
+)
 
 levels = stst.integers(min_value=2, max_value=120).map(Level)
 
@@ -181,21 +187,21 @@ def test_membership_chain(level, w):
 @given(levels, words)
 def test_coset_keys_match_membership(level, w):
     # the verification keys and the membership predicates agree
-    from fundom.cosets import Group, _coset_key
+    from fundom.cosets import Group
 
     m = evaluate(w)
     g = evaluate(st(1) * make_word(("S",)))  # an arbitrary fixed element
     prod = m * g
-    same0 = _coset_key(m, level, Group.GAMMA0) == _coset_key(
+    same0 = coset_key(m, level, Group.GAMMA0) == coset_key(
         prod, level, Group.GAMMA0
     )
     assert same0 == in_gamma0(m * prod.inverse(), level)
-    same1 = _coset_key(m, level, Group.GAMMA1) == _coset_key(
+    same1 = coset_key(m, level, Group.GAMMA1) == coset_key(
         prod, level, Group.GAMMA1
     )
     assert same1 == in_pm_gamma1(m * prod.inverse(), level)
     q = m * prod.inverse()
-    samef = _coset_key(m, level, Group.GAMMA_FULL) == _coset_key(
+    samef = coset_key(m, level, Group.GAMMA_FULL) == coset_key(
         prod, level, Group.GAMMA_FULL
     )
     assert samef == (in_gammaN(q, level) or in_gammaN(q.neg(), level))

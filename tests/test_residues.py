@@ -22,6 +22,12 @@ def test_level_rejects_small_n():
             Level(n)
 
 
+@pytest.mark.parametrize("n", [6.0, True, "6"])
+def test_level_rejects_a_non_int(n):
+    with pytest.raises(ValueError, match="must be an int"):
+        Level(n)
+
+
 def test_sym_rep_examples():
     assert Level(6).reduce(0) == 0
     assert Level(6).reduce(4) == -2

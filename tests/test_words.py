@@ -16,7 +16,6 @@ from fundom.words import (
     make_word,
     mobius_cusp,
     parse_word,
-    psl_normalize,
     st,
 )
 
@@ -25,6 +24,7 @@ from oracles import (
     in_gammaN,
     in_pm_gamma1,
     parse_cusp,
+    psl_normalize,
     row_map,
     word_identity,
 )
