@@ -145,7 +145,10 @@ def is_connected(g: CayleyGraph) -> bool:
 
 def spanning_tree(g: CayleyGraph) -> SpanningTree:
     """BFS tree of the root's component, deterministic in list order.
-    The root is the first vertex equal to S in PSL2, else vertex 0."""
+    The root is the first vertex equal to S in PSL2, else vertex 0; an
+    empty graph gives a tree with no edges."""
+    if not len(g):
+        return SpanningTree(0, {})
     try:
         root = g.keys.index(_S_KEY)
     except ValueError:

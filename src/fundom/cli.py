@@ -1,13 +1,14 @@
 """Command-line front end.
 
 Subcommands: list, verify, mtable, cusps, render, graph.  Every emit
-command verifies its list first (disable with --no-verify, which
-watermarks the output).  Exit codes: 0 ok; 1 failed verification,
-unreadable/malformed input, or output that cannot be written (such as
-a pipe whose reader closed early); 2 usage error, including an empty
-sweep, --sweep together with --N or --load, a --N that disagrees with
-the loaded file, and a render --y-max that is not a finite number > 0
-or whose canvas height is not finite.  Commands return their exit code
+command verifies its list first.  --no-verify skips that; then an SVG
+render starts with an `UNVERIFIED LIST` comment and list JSON carries
+"verified": false, while the other outputs carry no mark.  Exit codes:
+0 ok; 1 failed verification, unreadable/malformed input, or output that
+cannot be written (such as a pipe whose reader closed early); 2 usage
+error, including an empty sweep, --sweep together with --N or --load, a
+--N that disagrees with the loaded file, and a render --y-max that is
+not a finite number > 0 or whose canvas height is not finite.  Commands return their exit code
 or raise CliError; main prints every `error:` line.
 """
 

@@ -16,6 +16,7 @@ counted against the actual coset spaces, never read off index formulas.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -26,9 +27,9 @@ from .residues import Level, inv_mod
 from .words import (
     GroupWord,
     Mat2,
-    evaluate,
+    cusp,
+    fold,
     make_word,
-    mobius_cusp,
     parse_word,
     st,
 )
@@ -52,12 +53,14 @@ class CosetList:
     group: Group
     reps: list[GroupWord]
     verified: bool = False
-    _mats: list[Mat2] | None = field(default=None, repr=False)
+    _mats: list[tuple] | None = field(default=None, repr=False)
 
     @property
-    def mats(self) -> list[Mat2]:
+    def mats(self) -> list[tuple]:
+        """The matrix of each word as a plain tuple (a, b, c, d), each
+        determinant checked once when the list is first read."""
         if self._mats is None:
-            self._mats = [evaluate(w) for w in self.reps]
+            self._mats = list(map(fold, self.reps))
         return self._mats
 
     def __len__(self):
@@ -67,10 +70,10 @@ class CosetList:
         records = [
             {
                 "word": str(w),
-                "matrix": [[m.a, m.b], [m.c, m.d]],
-                "cusp": str(mobius_cusp(m)),
+                "matrix": [[a, b], [c, d]],
+                "cusp": str(cusp(a, c)),
             }
-            for w, m in zip(self.reps, self.mats)
+            for w, (a, b, c, d) in zip(self.reps, self.mats)
         ]
         doc = {
             "N": self.level.n,
@@ -157,13 +160,14 @@ def build(level: Level, group: Group) -> CosetList:
 
 
 def _unit_rows(level: Level):
+    """The rows (c, d) mod N with gcd(c, d, N) = 1, as a stream."""
     n = level.n
-    return [
+    return (
         (c, d)
         for c in range(n)
         for d in range(n)
         if gcd(gcd(c, d), n) == 1
-    ]
+    )
 
 
 def _coset_keys(mats, level: Level, group: Group) -> list:
@@ -214,13 +218,19 @@ def _expected_count(level: Level, group: Group) -> int:
     """
     if group is Group.GAMMA0:
         return len(projline.enumerate_p1(level))
-    rows = len(_unit_rows(level))
+    rows = sum(1 for _ in _unit_rows(level))
     half = rows if level.n == 2 else rows // 2
     return half if group is Group.GAMMA1 else level.n * half
 
 
+MISSING_NAMED = 20  # a report names at most this many missing cosets
+
+
 @dataclass
 class VerificationReport:
+    """`missing` holds the smallest missing keys, at most MISSING_NAMED
+    of them, and is filled only when the list has no duplicates."""
+
     level: Level
     group: Group
     count: int
@@ -232,6 +242,11 @@ class VerificationReport:
     def ok(self) -> bool:
         return not self.duplicates and not self.missing
 
+    @property
+    def missing_count(self) -> int:
+        # with no duplicates, each rep is a distinct coset
+        return 0 if self.duplicates else self.expected - self.count
+
     def __str__(self):
         status = "pass" if self.ok else "FAIL"
         msg = (
@@ -242,6 +257,8 @@ class VerificationReport:
             msg += f"\n  duplicate coset {key}: {w1} vs {w2}"
         for key in self.missing:
             msg += f"\n  missing coset {key}"
+        if self.missing_count > len(self.missing):
+            msg += f"\n  {self.missing_count} cosets missing in all"
         return msg
 
 
@@ -263,8 +280,11 @@ def verify(coset_list: CosetList) -> VerificationReport:
     expected = _expected_count(level, group)
     missing = []
     if len(seen) != expected and not duplicates:
-        # enumerate the coset space to name the omissions
-        missing = sorted(_all_keys(level, group) - set(seen))
+        # stream the coset space to name the smallest omissions
+        missing = heapq.nsmallest(
+            MISSING_NAMED,
+            (k for k in _all_keys(level, group) if k not in seen),
+        )
     report = VerificationReport(
         level, group, len(coset_list.reps), expected, duplicates, missing
     )
@@ -275,18 +295,22 @@ def verify(coset_list: CosetList) -> VerificationReport:
 
 
 def _all_keys(level: Level, group: Group):
+    """The key of every coset, each once, as a stream."""
     n = level.n
     if group is Group.GAMMA0:
-        return set(projline.enumerate_p1(level))
-    if group is Group.GAMMA1:
-        ents = [(0, 0, c, d) for c, d in _unit_rows(level)]
-    else:
-        # all N completions of each bottom row to SL2(Z/NZ)
-        ents = []
-        for c, d in _unit_rows(level):
+        yield from projline.enumerate_p1(level)
+        return
+    for c, d in _unit_rows(level):
+        if (c, d) > (-c % n, -d % n):
+            continue  # the row (-c, -d) gives the same cosets
+        if group is Group.GAMMA1:
+            yield from _coset_keys([(0, 0, c, d)], level, group)
+        else:
+            # all N completions of the bottom row to SL2(Z/NZ)
             a, b, _, _ = _some_lift(c, d, n)
-            ents += [(a + t * c, b + t * d, c, d) for t in range(n)]
-    return set(_coset_keys(ents, level, group))
+            yield from _coset_keys(
+                [(a + t * c, b + t * d, c, d) for t in range(n)], level, group
+            )
 
 
 def _some_lift(c: int, d: int, n: int) -> Mat2:

@@ -117,8 +117,10 @@ def cusp_table(level: Level) -> CuspClassTable:
     Classes are ordered by descending width, infinity and 0 placed per
     the natural d | N order of their representatives.
     """
+    # few distinct (a, c): every S T^j S T^m has a = -1 and c = j
+    pairs = dict.fromkeys((a, c) for a, _, c, _ in cosets.theta0(level).mats)
     groups: dict[Cusp, list[Cusp]] = {}
-    for c in dict.fromkeys(cusps_of(cosets.theta0(level))):
+    for c in dict.fromkeys(cusp(*pair) for pair in pairs):
         groups.setdefault(cusp_class_rep(c, level), []).append(c)
     classes = [
         CuspClass(rep, cusp_width(rep, level), sorted(members))

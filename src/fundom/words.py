@@ -5,9 +5,11 @@ SL2(Z) with arbitrary-precision entries; silent overflow is impossible.
 The serialization format is e.g. "ST^-3ST^3S", with "I" for the empty
 word and an optional leading "-".
 
-A `Mat2` is a tuple (a, b, c, d) that checks its determinant when it
-is built.  `evaluate` works on four plain ints and builds one `Mat2`,
-so checks each word once.
+`fold` multiplies a word out on four plain ints and returns the plain
+tuple (a, b, c, d), its determinant checked once; `CosetList.mats`
+holds these.  A `Mat2` is a tuple (a, b, c, d) that checks its
+determinant when it is built, for matrices that come in from outside:
+`evaluate` returns the word's matrix as one `Mat2`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,10 @@ from math import gcd
 from operator import itemgetter
 
 
-_tuple_new = tuple.__new__  # a global is found faster than tuple.__new__
+# globals are found faster than attributes of a class
+_tuple_new = tuple.__new__
+_object_new = object.__new__
+_object_setattr = object.__setattr__
 
 
 class Mat2(tuple):
@@ -113,9 +118,9 @@ class GroupWord:
             tokens = left[:-1] + seam + right[1:]
         else:
             tokens = left + right
-        word = object.__new__(GroupWord)
-        object.__setattr__(word, "tokens", tokens)
-        object.__setattr__(word, "sign", self.sign * other.sign)
+        word = _object_new(GroupWord)
+        _object_setattr(word, "tokens", tokens)
+        _object_setattr(word, "sign", self.sign * other.sign)
         return word
 
     def __str__(self):
@@ -164,16 +169,25 @@ def parse_word(s: str) -> GroupWord:
     return make_word(*tokens, sign=sign)
 
 
-def evaluate(w: GroupWord) -> Mat2:
-    """The matrix of a word: product of generators, times the sign."""
+def fold(w: GroupWord) -> tuple:
+    """The matrix of a word, product of generators times the sign, as
+    the plain tuple (a, b, c, d); raises ValueError unless ad - bc = 1."""
     a, b, c, d = 1, 0, 0, 1
     for tok in w.tokens:
         if tok[0] == "S":
             a, b, c, d = b, -a, d, -c
         else:
             b, d = b + tok[1] * a, d + tok[1] * c
-    s = w.sign
-    return Mat2(s * a, s * b, s * c, s * d)
+    if a * d - b * c != 1:
+        raise ValueError(f"determinant is not 1: [[{a},{b}],[{c},{d}]]")
+    if w.sign < 0:
+        return (-a, -b, -c, -d)
+    return (a, b, c, d)
+
+
+def evaluate(w: GroupWord) -> Mat2:
+    """The matrix of a word as one checked `Mat2`."""
+    return Mat2(*fold(w))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +229,7 @@ def cusp(p: int, q: int) -> Cusp:
     return Cusp(p, q)
 
 
-def mobius_cusp(m: Mat2) -> Cusp:
-    """Image of infinity under m, i.e. a/c."""
-    return cusp(m.a, m.c)
+def mobius_cusp(m) -> Cusp:
+    """Image of infinity under the matrix m = (a, b, c, d), i.e. a/c."""
+    return cusp(m[0], m[2])
 

@@ -142,7 +142,7 @@ def test_depth_of_bfs_tree_matches_walk(group, n):
 
 def _reference_adj(lst):
     """Adjacency by Mat2 products with S, T, T^-1 and psl_normalize."""
-    mats = [psl_normalize(m) for m in lst.mats]
+    mats = [psl_normalize(evaluate(w)) for w in lst.reps]
     index = {m.entries(): i for i, m in enumerate(mats)}
     adj = []
     for i, m in enumerate(mats):
@@ -165,7 +165,7 @@ def test_adjacency_matches_matrix_products(group, n):
     lst = build(Level(n), group)
     g = build_graph(lst)
     assert g.adj == _reference_adj(lst)
-    assert g.keys == [psl_normalize(m).entries() for m in lst.mats]
+    assert g.keys == [psl_normalize(evaluate(w)).entries() for w in lst.reps]
     assert all(type(k) in (tuple, Mat2) and len(k) == 4 for k in g.keys)
     assert (g.s_nbr, g.t_nbr, g.u_nbr) == _reference_nbrs(lst)
     for i in range(len(g)):
@@ -178,7 +178,7 @@ def test_adjacency_matches_matrix_products(group, n):
 def _reference_nbrs(lst):
     """The S, T and T^-1 neighbour of every vertex, -1 for none, by
     Mat2 products and psl_normalize."""
-    mats = [psl_normalize(m) for m in lst.mats]
+    mats = [psl_normalize(evaluate(w)) for w in lst.reps]
     index = {m: i for i, m in enumerate(mats)}
     return tuple(
         [index.get(psl_normalize(m * gen), -1) for m in mats]
@@ -226,6 +226,12 @@ def test_is_connected_agrees_with_bfs(lst):
     assert is_connected(g) == (reached == len(g))
 
 
+def test_spanning_tree_of_empty_graph():
+    tree = spanning_tree(build_graph(list_of([])))
+    assert tree.edges() == []
+    assert tree.depth() == 0
+
+
 def test_one_checked_matrix_per_word(monkeypatch):
     lst = build(Level(12), Group.GAMMA1)
     words = lst.reps + [make_word(("S",), sign=-1), make_word()]
@@ -240,8 +246,10 @@ def test_one_checked_matrix_per_word(monkeypatch):
     for w in words:
         evaluate(w)
     assert len(built) == len(words)
-    assert len(lst.mats) == len(lst)  # evaluated before counting the graph
     built.clear()
+    lst._mats = None
+    assert len(lst.mats) == len(lst)
+    assert built == []  # the list's matrices are plain tuples
     g = build_graph(lst)
     # half of these keys are negated representatives, and still no
     # matrix is built for them

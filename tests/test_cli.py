@@ -225,6 +225,24 @@ def test_render_no_verify_watermark(capsys):
     assert "UNVERIFIED" in out
 
 
+def test_no_verify_marks_svg_and_list_json(capsys):
+    code, out, _ = run(capsys, "render", "--N", "6", "--no-verify")
+    assert code == 0
+    assert out.startswith("<!-- UNVERIFIED LIST -->\n<svg ")
+    code, out, _ = run(capsys, "list", "--N", "6", "--no-verify")
+    assert code == 0
+    assert json.loads(out)["verified"] is False
+
+
+def test_verify_load_of_a_short_list_prints_a_short_report(tmp_path, capsys):
+    path = tmp_path / "short.json"
+    path.write_text('{"N": 100, "group": "gammaN", "reps": [{"word": "S"}]}')
+    code, out, _ = run(capsys, "verify", "--load", str(path))
+    assert code == 1
+    assert len(out.splitlines()) <= 25
+    assert out.splitlines()[-1] == "  359999 cosets missing in all"
+
+
 @pytest.mark.parametrize("y_max", ["nan", "inf", "-inf", "-1", "0", "1e308"])
 @pytest.mark.parametrize("fmt", ["svg", "json"])
 def test_render_bad_y_max_is_usage_error(capsys, y_max, fmt):

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 
 from fundom import cosets, projline
@@ -62,7 +65,8 @@ def test_theta0_bijection_onto_p1():
         lvl = Level(n)
         lst = theta0(lvl)
         images = set()
-        for m in lst.mats:
+        for w in lst.reps:
+            m = evaluate(w)
             images.add(normalize(m.c, m.d, lvl))
         expected = set(enumerate_p1(lvl))
         assert images == expected
@@ -149,12 +153,25 @@ def test_theta1_product_structure():
     t1 = theta1(lvl)
     t0_mats = [evaluate(w) for w in theta0(lvl).reps]
     q_mats = [evaluate(w) for w in gamma1_quotient_reps(lvl)]
-    for m in t1.mats:
+    for m in map(evaluate, t1.reps):
         assert any(
             in_pm_gamma1(m * (q * t).inverse(), lvl)
             for q in q_mats
             for t in t0_mats
         )
+
+
+@pytest.mark.parametrize(
+    "group, n", [(Group.GAMMA0, 30), (Group.GAMMA1, 12), (Group.GAMMA_FULL, 6)]
+)
+def test_list_matrices_are_plain_tuples(group, n):
+    lst = build(Level(n), group)
+    assert len(lst.mats) == len(lst)
+    for w, m in zip(lst.reps, lst.mats):
+        assert type(m) is tuple
+        assert m == tuple(evaluate(w))
+    gc.collect()
+    assert not any(map(gc.is_tracked, lst.mats))
 
 
 def test_theta_full_counts():
@@ -167,7 +184,7 @@ def test_theta_full_counts():
 
 def test_theta_full_n2_pairwise_distinct():
     lvl = Level(2)
-    mats = theta_full(lvl).mats
+    mats = [evaluate(w) for w in theta_full(lvl).reps]
     for i, mi in enumerate(mats):
         for j, mj in enumerate(mats):
             q = mi * mj.inverse()
@@ -227,7 +244,7 @@ def _failure_report(lst):
 def test_report_names_the_one_missing_coset(group, n):
     full = build(Level(n), group)
     i = len(full) // 2
-    dropped = full.mats[i]
+    dropped = evaluate(full.reps[i])
     lst = CosetList(full.level, group, full.reps[:i] + full.reps[i + 1:])
     report = _failure_report(lst)
     assert (report.count, report.expected) == (len(full) - 1, len(full))
@@ -277,17 +294,52 @@ def test_report_text():
     )
 
 
+def test_report_of_a_short_list_names_the_smallest_missing():
+    n = 5
+    lst = CosetList(Level(n), Group.GAMMA_FULL, [parse_word("S")])
+    report = _failure_report(lst)
+    # SL2(Z/5Z) up to sign, by brute force
+    everything = {
+        min((a, b, c, d), (-a % n, -b % n, -c % n, -d % n))
+        for a in range(n) for b in range(n) for c in range(n)
+        for d in range(n) if (a * d - b * c) % n == 1
+    }
+    s_key = _key_mod_n(evaluate(lst.reps[0]), Group.GAMMA_FULL, n)
+    missing = sorted(everything - {s_key})
+    assert report.expected == len(everything) == 60
+    assert report.missing_count == len(missing) == 59
+    assert report.missing == missing[: cosets.MISSING_NAMED]
+    assert str(report).splitlines()[-1] == "  59 cosets missing in all"
+
+
+def test_verify_of_a_short_list_streams_the_coset_space():
+    # a one-word Gamma(60) list misses 69,119 cosets; naming 20 of them
+    # must not hold the coset space in memory
+    lst = CosetList(Level(60), Group.GAMMA_FULL, [parse_word("S")])
+    tracemalloc.start()
+    try:
+        report = _failure_report(lst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.expected, report.missing_count) == (69120, 69119)
+    assert len(str(report).splitlines()) == 2 + cosets.MISSING_NAMED
+    assert peak < 1_000_000
+
+
 def test_verify_agrees_with_pairwise_membership():
     # hash keys must separate cosets exactly as the membership tests do
     for n in (4, 5, 6):
         lvl = Level(n)
         t1 = theta1(lvl)
-        for i, mi in enumerate(t1.mats):
-            for j, mj in enumerate(t1.mats):
+        t1_mats = [evaluate(w) for w in t1.reps]
+        for i, mi in enumerate(t1_mats):
+            for j, mj in enumerate(t1_mats):
                 assert in_pm_gamma1(mi * mj.inverse(), lvl) == (i == j)
         tf = theta_full(lvl)
-        for i, mi in enumerate(tf.mats[:40]):
-            for j, mj in enumerate(tf.mats[:40]):
+        tf_mats = [evaluate(w) for w in tf.reps[:40]]
+        for i, mi in enumerate(tf_mats):
+            for j, mj in enumerate(tf_mats):
                 q = mi * mj.inverse()
                 in_quot = in_gammaN(q, lvl) or in_gammaN(q.neg(), lvl)
                 assert in_quot == (i == j)
