@@ -39,7 +39,6 @@ from .domain import (
     cusp_equivalent,
     cusp_table,
     cusp_width,
-    cusps_of,
     render_json,
     render_svg,
     triangle_vertices,

@@ -15,7 +15,6 @@ graph has no loops and no repeated edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .cosets import CosetList
@@ -29,16 +28,14 @@ class DuplicateVertex(ValueError):
 _S_KEY = (0, -1, 1, 0)  # S, PSL2-normalized
 
 
-@dataclass
 class CayleyGraph:
     """The S, T and T^-1 neighbours of vertex i are s_nbr[i], t_nbr[i]
     and u_nbr[i], each -1 when that product is not in the list."""
 
-    words: list[GroupWord]
-    keys: list[tuple]  # PSL2-normalized (a, b, c, d)
-    s_nbr: list[int]
-    t_nbr: list[int]
-    u_nbr: list[int]
+    def __init__(self, words: list[GroupWord], keys: list[tuple],
+                 s_nbr: list[int], t_nbr: list[int], u_nbr: list[int]):
+        self.words, self.keys = words, keys  # keys: PSL2-normalized
+        self.s_nbr, self.t_nbr, self.u_nbr = s_nbr, t_nbr, u_nbr
 
     def __len__(self):
         return len(self.keys)
@@ -52,10 +49,12 @@ class CayleyGraph:
         ]
 
 
-@dataclass
 class SpanningTree:
-    root: int
-    parent: dict[int, int]  # vertex -> parent vertex, root excluded
+    __slots__ = ("root", "parent")
+
+    def __init__(self, root: int, parent: dict[int, int]):
+        self.root = root
+        self.parent = parent  # vertex -> parent vertex, root excluded
 
     def edges(self):
         return [(p, v) for v, p in self.parent.items()]

@@ -99,13 +99,16 @@ def cmd_list(args) -> int:
 
 
 def _check_one(lst: CosetList) -> bool:
-    """Verify cosets and connectivity of one list; print one line."""
-    n, group = lst.level.n, lst.group
+    """Verify cosets and connectivity of one list and print the status
+    line, or the whole report when verification fails."""
     try:
         report = cosets.verify(lst)
         connected = cayley.is_connected(cayley.build_graph(lst))
-    except (VerificationFailed, cayley.DuplicateVertex) as exc:
-        print(f"{group.value} N={n}: FAIL\n  {exc}")
+    except VerificationFailed as exc:
+        print(exc.report)
+        return False
+    except cayley.DuplicateVertex as exc:
+        print(f"{lst.group.value} N={lst.level.n}: FAIL\n  {exc}")
         return False
     conn = "connected" if connected else "NOT CONNECTED"
     print(f"{report}  [{conn}]")
@@ -117,7 +120,8 @@ def _load(args) -> CosetList:
     try:
         with open(args.load) as fh:
             lst = CosetList.from_json(fh.read())
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError,
+            RecursionError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise CliError(1, f"cannot load {args.load}: {detail}") from exc
     if args.N is not None and args.N != lst.level.n:

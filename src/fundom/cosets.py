@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field
+from collections import Counter
 from enum import Enum
 from math import gcd
 
@@ -47,13 +47,13 @@ class VerificationFailed(Exception):
         self.report = report
 
 
-@dataclass
 class CosetList:
-    level: Level
-    group: Group
-    reps: list[GroupWord]
-    verified: bool = False
-    _mats: list[tuple] | None = field(default=None, repr=False)
+    __slots__ = ("level", "group", "reps", "verified", "_mats")
+
+    def __init__(self, level: Level, group: Group, reps: list[GroupWord]):
+        self.level, self.group, self.reps = level, group, reps
+        self.verified = False
+        self._mats: list[tuple] | None = None
 
     @property
     def mats(self) -> list[tuple]:
@@ -90,7 +90,6 @@ class CosetList:
             level=Level(doc["N"]),
             group=Group(doc["group"]),
             reps=[parse_word(r["word"]) for r in doc["reps"]],
-            verified=False,
         )
 
 
@@ -218,25 +217,31 @@ def _expected_count(level: Level, group: Group) -> int:
     """
     if group is Group.GAMMA0:
         return len(projline.enumerate_p1(level))
-    rows = sum(1 for _ in _unit_rows(level))
-    half = rows if level.n == 2 else rows // 2
-    return half if group is Group.GAMMA1 else level.n * half
+    # gcd(c, d, N) = gcd(g, d) for g = gcd(c, N), which has period g in
+    # d: each g counts the d of one period, N/g times over
+    n = level.n
+    rows = sum(
+        k * n // g * sum(1 for d in range(g) if gcd(d, g) == 1)
+        for g, k in Counter(gcd(c, n) for c in range(n)).items()
+    )
+    half = rows if n == 2 else rows // 2
+    return half if group is Group.GAMMA1 else n * half
 
 
 MISSING_NAMED = 20  # a report names at most this many missing cosets
 
 
-@dataclass
 class VerificationReport:
     """`missing` holds the smallest missing keys, at most MISSING_NAMED
     of them, and is filled only when the list has no duplicates."""
 
-    level: Level
-    group: Group
-    count: int
-    expected: int
-    duplicates: list
-    missing: list
+    __slots__ = ("level", "group", "count", "expected", "duplicates", "missing")
+
+    def __init__(self, level: Level, group: Group, count: int, expected: int,
+                 duplicates: list, missing: list):
+        self.level, self.group, self.count = level, group, count
+        self.expected, self.duplicates, self.missing = (
+            expected, duplicates, missing)
 
     @property
     def ok(self) -> bool:

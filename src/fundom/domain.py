@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from itertools import cycle
 from math import gcd
 
@@ -36,10 +35,6 @@ def triangle_vertices(m) -> tuple:
         (a * RHO2 + b) / (c * RHO2 + d),
         a / c if c else None,
     )
-
-
-def cusps_of(coset_list: CosetList) -> list[Cusp]:
-    return [mobius_cusp(m) for m in coset_list.mats]
 
 
 # ---------------------------------------------------------------------------
@@ -91,17 +86,18 @@ def cusp_class_rep(c: Cusp, level: Level) -> Cusp:
     raise AssertionError(f"no canonical representative found for {c}")
 
 
-@dataclass
 class CuspClass:
-    rep: Cusp
-    width: int
-    members: list[Cusp]
+    __slots__ = ("rep", "width", "members")
+
+    def __init__(self, rep: Cusp, width: int, members: list[Cusp]):
+        self.rep, self.width, self.members = rep, width, members
 
 
-@dataclass
 class CuspClassTable:
-    level: Level
-    classes: list[CuspClass]
+    __slots__ = ("level", "classes")
+
+    def __init__(self, level: Level, classes: list[CuspClass]):
+        self.level, self.classes = level, classes
 
     def total_width(self) -> int:
         return sum(c.width for c in self.classes)
@@ -148,19 +144,18 @@ SCALE = 240.0  # pixels per unit length
 MARGIN = 12.0
 
 
-@dataclass
 class RenderOptions:
-    y_max: float = 2.2
-    labels: bool = False
+    __slots__ = ("y_max", "labels")
 
-    def __post_init__(self):
+    def __init__(self, y_max: float = 2.2, labels: bool = False):
         # not (0 < y) also holds for nan; a finite y_max can still
         # overflow the canvas height
-        if not (0 < self.y_max and math.isfinite(self.y_max * SCALE)):
+        if not (0 < y_max and math.isfinite(y_max * SCALE)):
             raise ValueError(
                 f"y_max must be a finite number > 0 whose canvas height "
-                f"is finite, got {self.y_max}"
+                f"is finite, got {y_max}"
             )
+        self.y_max, self.labels = y_max, labels
 
 
 def render_svg(coset_list: CosetList, options: RenderOptions | None = None) -> str:

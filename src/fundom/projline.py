@@ -16,11 +16,10 @@ read.  The cache keeps the last _CACHED_LEVELS levels only.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .residues import Level
+from .residues import Frozen, Level
 
 _CACHED_LEVELS = 8
 
@@ -109,13 +108,15 @@ def normalize(a: int, b: int, level: Level) -> tuple[int, int]:
     return (a, b)
 
 
-@dataclass(frozen=True)
-class MTable:
+class MTable(Frozen):
     """j -> M_j over the nonunits j, where M_j is the max of M over the
     H classes whose preferred first coordinate is j."""
 
-    level: Level
-    entries: dict
+    __slots__ = ("level", "entries")
+
+    def __init__(self, level: Level, entries: dict):
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "entries", entries)
 
     def __getitem__(self, j: int) -> int:
         return self.entries[self.level.reduce(j)]

@@ -9,7 +9,6 @@ into the window and `residues` lists the window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 
@@ -17,17 +16,51 @@ class NotAUnit(ValueError):
     """Raised when a modular inverse is requested for a nonunit."""
 
 
-@dataclass(frozen=True, order=True)
-class Level:
-    """The modulus N >= 2 together with its symmetric window bounds."""
+class Frozen:
+    """Base of the immutable value types.  Their fields are their
+    __slots__, set once in __init__ through object.__setattr__.  They
+    compare, hash and print by the tuple of their fields, and a copy or
+    an unpickled value is built by calling the class again."""
 
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if type(self.n) is not int:
-            raise ValueError(f"level must be an int, got {self.n!r}")
-        if self.n < 2:
-            raise ValueError(f"level must be >= 2, got {self.n}")
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return (type(self), self._fields())
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({args})"
+
+
+class Level(Frozen):
+    """The modulus N >= 2 together with its symmetric window bounds;
+    ordered by N."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        if type(n) is not int:
+            raise ValueError(f"level must be an int, got {n!r}")
+        if n < 2:
+            raise ValueError(f"level must be >= 2, got {n}")
+        object.__setattr__(self, "n", n)
+
+    def __lt__(self, other):
+        return self.n < other.n if type(other) is Level else NotImplemented
 
     @property
     def n1(self) -> int:

@@ -15,9 +15,10 @@ determinant when it is built, for matrices that come in from outside:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import gcd
 from operator import itemgetter
+
+from .residues import Frozen
 
 
 # globals are found faster than attributes of a class
@@ -96,17 +97,16 @@ def _merge(tokens):
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class GroupWord:
+class GroupWord(Frozen):
     """A signed word in S and T^e; its tokens are merged when built."""
 
-    tokens: tuple
-    sign: int = 1
+    __slots__ = ("tokens", "sign")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __init__(self, tokens, sign: int = 1):
+        if sign not in (1, -1):
             raise ValueError("sign must be +-1")
-        object.__setattr__(self, "tokens", _merge(self.tokens))
+        _object_setattr(self, "tokens", _merge(tokens))
+        _object_setattr(self, "sign", sign)
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
         # Both factors are merged, so only the seam can hold a T^e T^f
@@ -194,20 +194,26 @@ def evaluate(w: GroupWord) -> Mat2:
 # cusps
 
 
-@dataclass(frozen=True, order=True)
-class Cusp:
-    """A point of Q union {oo}, reduced, with q >= 0 and oo = 1/0."""
+class Cusp(Frozen):
+    """A point of Q union {oo}, reduced, with q >= 0 and oo = 1/0;
+    ordered by the pair (p, q)."""
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        if (self.p, self.q) == (0, 0) or self.q < 0:
-            raise ValueError(f"bad cusp ({self.p}, {self.q})")
-        if gcd(self.p, self.q) != 1:
-            raise ValueError(f"cusp ({self.p}, {self.q}) not in lowest terms")
-        if self.q == 0 and self.p != 1:
+    def __init__(self, p: int, q: int):
+        if (p, q) == (0, 0) or q < 0:
+            raise ValueError(f"bad cusp ({p}, {q})")
+        if gcd(p, q) != 1:
+            raise ValueError(f"cusp ({p}, {q}) not in lowest terms")
+        if q == 0 and p != 1:
             raise ValueError("infinity must be stored as 1/0")
+        _object_setattr(self, "p", p)
+        _object_setattr(self, "q", q)
+
+    def __lt__(self, other):
+        if type(other) is not Cusp:
+            return NotImplemented
+        return (self.p, self.q) < (other.p, other.q)
 
     def __str__(self):
         return "oo" if self.q == 0 else f"{self.p}/{self.q}"

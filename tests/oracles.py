@@ -11,7 +11,14 @@ from math import gcd
 
 from fundom.cosets import _coset_keys
 from fundom.residues import Level, inv_mod
-from fundom.words import INFINITY, Cusp, GroupWord, Mat2, cusp, make_word, st
+from fundom.words import (
+    INFINITY, Cusp, GroupWord, Mat2, cusp, make_word, mobius_cusp, st,
+)
+
+
+def cusps_of(coset_list) -> list[Cusp]:
+    """The cusp a/c of every matrix of a list."""
+    return [mobius_cusp(m) for m in coset_list.mats]
 
 
 def gcd_with_level(a: int, level: Level) -> int:
@@ -184,7 +191,7 @@ def list_cusp_classes(level: Level) -> dict:
     evaluated list Theta_0(N): builds the list and classifies the cusp
     of every one of its matrices."""
     from fundom.cosets import theta0
-    from fundom.domain import cusp_class_rep, cusp_width, cusps_of
+    from fundom.domain import cusp_class_rep, cusp_width
 
     groups = {}
     for c in set(cusps_of(theta0(level))):

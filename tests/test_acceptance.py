@@ -18,12 +18,13 @@ from fundom.cosets import (
     theta_full,
     verify,
 )
-from fundom.domain import cusp_class_rep, cusp_equivalent, cusp_table, cusp_width, cusps_of
+from fundom.domain import cusp_class_rep, cusp_equivalent, cusp_table, cusp_width
 from fundom.projline import big_m, m_table, normalize
 from fundom.residues import Level, inv_mod
 from fundom.words import Cusp, IDENTITY, cusp, evaluate, make_word, st
 
 from oracles import (
+    cusps_of,
     gamma1_quotient_reps,
     in_gamma0,
     in_gammaN,

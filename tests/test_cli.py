@@ -97,16 +97,21 @@ def test_verify_load_without_n(tmp_path, capsys):
         (["verify", "--N", "6", "--sweep", "2..4"], 2, "--sweep"),
         (["verify", "--sweep", "2..3", "--load", "{list}"], 2, "--sweep"),
         (["list", "--N", "6", "-o", "{missing}/x.json"], 1, "x.json"),
+        (["verify", "--load", "{deep}"], 1, "recursion"),
     ],
     ids=[
         "list-bad-level", "verify-no-range", "empty-sweep-5..3",
         "empty-sweep-3..2", "sweep-not-a-range", "load-n-mismatch",
         "sweep-with-n", "sweep-with-load", "out-dir-missing",
+        "load-deeply-nested",
     ],
 )
 def test_error_exits_with_one_error_line(tmp_path, capsys, argv, code,
                                          fragment):
-    paths = {"list": _saved_list(tmp_path), "missing": tmp_path / "missing"}
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"N": 6, "group": "gamma0", "reps": ' + "[" * 100_000)
+    paths = {"list": _saved_list(tmp_path), "missing": tmp_path / "missing",
+             "deep": deep}
     argv = [a.format(**paths) for a in argv]
     got, out, err = run(capsys, *argv)
     assert got == code
@@ -241,6 +246,29 @@ def test_verify_load_of_a_short_list_prints_a_short_report(tmp_path, capsys):
     assert code == 1
     assert len(out.splitlines()) <= 25
     assert out.splitlines()[-1] == "  359999 cosets missing in all"
+
+
+def test_failed_verify_prints_its_report_once(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text('{"N": 6, "group": "gamma0", "reps": [{"word": "S"}]}')
+    code, out, _ = run(capsys, "verify", "--load", str(path))
+    assert code == 1
+    assert out.splitlines()[:2] == [
+        "gamma0 N=6: FAIL, 1 reps, 12 cosets",
+        "  missing coset (-2, -1)",
+    ]
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # every fundom process pays for its imports; -S: no site hook can
+    # load the module first
+    env = dict(os.environ, PYTHONPATH=str(Path(fundom.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, fundom.cli; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 @pytest.mark.parametrize("y_max", ["nan", "inf", "-inf", "-1", "0", "1e308"])

@@ -327,6 +327,15 @@ def test_verify_of_a_short_list_streams_the_coset_space():
     assert peak < 1_000_000
 
 
+def test_expected_count_equals_the_streamed_rows():
+    for n in range(2, 201):
+        level = Level(n)
+        rows = sum(1 for _ in cosets._unit_rows(level))
+        half = rows if n == 2 else rows // 2
+        assert cosets._expected_count(level, Group.GAMMA1) == half, n
+        assert cosets._expected_count(level, Group.GAMMA_FULL) == n * half, n
+
+
 def test_verify_agrees_with_pairwise_membership():
     # hash keys must separate cosets exactly as the membership tests do
     for n in (4, 5, 6):

@@ -14,7 +14,6 @@ from fundom.domain import (
     cusp_tables_csv,
     cusp_tables_text,
     cusp_width,
-    cusps_of,
     render_json,
     render_svg,
     triangle_vertices,
@@ -23,6 +22,7 @@ from fundom.residues import Level
 from fundom.words import Cusp, cusp, evaluate, make_word, mobius_cusp, st
 
 from oracles import (
+    cusps_of,
     list_cusp_classes,
     matrix_search_witness,
     oracle_cusp_equivalent,

@@ -205,6 +205,71 @@ def test_cusp_normalization():
         Cusp(2, 4)
 
 
+# a value, its fields in order and its repr
+_VALUES = [
+    (Level(6), (6,), "Level(n=6)"),
+    (Cusp(-1, 2), (-1, 2), "Cusp(p=-1, q=2)"),
+    (
+        GroupWord([("S",), ("T", 2)], sign=-1),
+        ((("S",), ("T", 2)), -1),
+        "GroupWord(tokens=(('S',), ('T', 2)), sign=-1)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "value, fields, text", _VALUES, ids=["Level", "Cusp", "GroupWord"]
+)
+def test_value_types_are_immutable_records_of_their_fields(
+    value, fields, text
+):
+    cls = type(value)
+    twin = cls(*fields)
+    assert twin == value and twin is not value
+    assert hash(twin) == hash(value) == hash(fields)
+    assert value != fields  # equal only to values of its class
+    assert repr(value) == text
+    for name in cls.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+    with pytest.raises(AttributeError):
+        value.other = 1
+    assert not hasattr(value, "__dict__")
+    for copier in _COPIERS:
+        out = copier(value)
+        assert type(out) is cls and out == value
+
+
+def test_levels_and_cusps_sort_by_their_fields():
+    levels = [Level(30), Level(2), Level(9)]
+    assert sorted(levels) == [Level(2), Level(9), Level(30)]
+    assert max(levels) == Level(30) and min(levels) == Level(2)
+    cusps = [Cusp(1, 3), Cusp(0, 1), Cusp(1, 0), Cusp(-1, 3), Cusp(-1, 2)]
+    # by (p, q), not by value: -1/2 < -1/3 < 0 < 1/0 < 1/3
+    assert sorted(cusps) == [
+        Cusp(-1, 2), Cusp(-1, 3), Cusp(0, 1), Cusp(1, 0), Cusp(1, 3)
+    ]
+    with pytest.raises(TypeError):
+        sorted([Level(2), Cusp(0, 1)])
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Level(1), "level must be >= 2, got 1"),
+        (lambda: Level(6.0), "level must be an int, got 6.0"),
+        (lambda: Cusp(0, 0), r"bad cusp \(0, 0\)"),
+        (lambda: Cusp(1, -2), r"bad cusp \(1, -2\)"),
+        (lambda: Cusp(2, 4), r"cusp \(2, 4\) not in lowest terms"),
+        (lambda: Cusp(-1, 0), "infinity must be stored as 1/0"),
+        (lambda: GroupWord((("S",),), sign=0), r"sign must be \+-1"),
+    ],
+)
+def test_value_types_reject_bad_fields(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
 def test_memberships():
     assert in_gamma0(IDENTITY, L6)
     k, kinv = -3, -3
