@@ -16,17 +16,17 @@ counted against the actual coset spaces, never read off index formulas.
 
 from __future__ import annotations
 
-import heapq
 import json
 from collections import Counter
 from enum import Enum
+from itertools import filterfalse, islice, product
+from json.encoder import encode_basestring_ascii as json_quote
 from math import gcd
 
 from . import projline
 from .residues import Level, inv_mod
 from .words import (
     GroupWord,
-    Mat2,
     cusp,
     fold,
     make_word,
@@ -45,6 +45,24 @@ class VerificationFailed(Exception):
     def __init__(self, report):
         super().__init__(str(report))
         self.report = report
+
+
+def dumps_with_records(doc: dict, key: str, record: dict, rows) -> str:
+    """json.dumps(doc, indent=1), with the list doc[key], given as [],
+    holding one record per row: `record` with its "%d" and "%s" strings
+    filled from the row, by ints and by JSON-quoted strings.
+
+    The records come from one %-format template and are joined, since
+    json's encoder falls back to pure Python whenever an indent is set.
+    """
+    template = json.dumps(record, indent=1)
+    template = template.replace('"%d"', "%d").replace('"%s"', "%s")
+    # each line of an item of a list at depth 1 sits two spaces in
+    template = "  " + template.replace("\n", "\n  ")
+    head, _, tail = json.dumps(doc, indent=1).partition(f'"{key}": []')
+    body = ",\n".join([template % row for row in rows])
+    items = f"[\n{body}\n ]" if body else "[]"
+    return f'{head}"{key}": {items}{tail}'
 
 
 class CosetList:
@@ -67,21 +85,22 @@ class CosetList:
         return len(self.reps)
 
     def to_json(self) -> str:
-        records = [
-            {
-                "word": str(w),
-                "matrix": [[a, b], [c, d]],
-                "cusp": str(cusp(a, c)),
-            }
+        rows = (
+            (json_quote(str(w)), a, b, c, d, json_quote(str(cusp(a, c))))
             for w, (a, b, c, d) in zip(self.reps, self.mats)
-        ]
+        )
         doc = {
             "N": self.level.n,
             "group": self.group.value,
-            "reps": records,
+            "reps": [],
             "verified": self.verified,
         }
-        return json.dumps(doc, indent=1)
+        record = {
+            "word": "%s",
+            "matrix": [["%d", "%d"], ["%d", "%d"]],
+            "cusp": "%s",
+        }
+        return dumps_with_records(doc, "reps", record, rows)
 
     @classmethod
     def from_json(cls, text: str) -> "CosetList":
@@ -156,17 +175,6 @@ def build(level: Level, group: Group) -> CosetList:
 
 # ---------------------------------------------------------------------------
 # verification
-
-
-def _unit_rows(level: Level):
-    """The rows (c, d) mod N with gcd(c, d, N) = 1, as a stream."""
-    n = level.n
-    return (
-        (c, d)
-        for c in range(n)
-        for d in range(n)
-        if gcd(gcd(c, d), n) == 1
-    )
 
 
 def _coset_keys(mats, level: Level, group: Group) -> list:
@@ -285,11 +293,12 @@ def verify(coset_list: CosetList) -> VerificationReport:
     expected = _expected_count(level, group)
     missing = []
     if len(seen) != expected and not duplicates:
-        # stream the coset space to name the smallest omissions
-        missing = heapq.nsmallest(
+        # the coset space streams in ascending order, so the walk stops
+        # at the last omission it names
+        missing = list(islice(
+            filterfalse(seen.__contains__, _all_keys(level, group)),
             MISSING_NAMED,
-            (k for k in _all_keys(level, group) if k not in seen),
-        )
+        ))
     report = VerificationReport(
         level, group, len(coset_list.reps), expected, duplicates, missing
     )
@@ -300,31 +309,37 @@ def verify(coset_list: CosetList) -> VerificationReport:
 
 
 def _all_keys(level: Level, group: Group):
-    """The key of every coset, each once, as a stream."""
+    """The key of every coset, each once, as an ascending stream.
+
+    A Gamma_1 or Gamma(N) key is the smaller of a reduced row or matrix
+    and its negation, so its first entry x runs over [0, N/2]; where
+    x = -x mod N (x = 0 or 2x = N), only the keys not above their
+    negations remain.
+    """
     n = level.n
     if group is Group.GAMMA0:
-        yield from projline.enumerate_p1(level)
+        yield from sorted(projline.enumerate_p1(level))
         return
-    for c, d in _unit_rows(level):
-        if (c, d) > (-c % n, -d % n):
-            continue  # the row (-c, -d) gives the same cosets
-        if group is Group.GAMMA1:
-            yield from _coset_keys([(0, 0, c, d)], level, group)
-        else:
-            # all N completions of the bottom row to SL2(Z/NZ)
-            a, b, _, _ = _some_lift(c, d, n)
-            yield from _coset_keys(
-                [(a + t * c, b + t * d, c, d) for t in range(n)], level, group
-            )
-
-
-def _some_lift(c: int, d: int, n: int) -> Mat2:
-    """Some integer matrix of determinant 1 whose bottom row is
-    congruent to (c, d) mod N; requires gcd(c, d, N) = 1."""
-    cc = c if c != 0 else n
-    dd = d
-    while gcd(cc, dd) != 1:
-        dd += n
-    a = pow(dd, -1, abs(cc))
-    b = (a * dd - 1) // cc
-    return Mat2(a, b, cc, dd)
+    if group is Group.GAMMA1:
+        for c in range(n // 2 + 1):
+            self_negative = c + c in (0, n)
+            for d in range(n):
+                if gcd(gcd(c, d), n) == 1 and (
+                    not self_negative or d <= -d % n
+                ):
+                    yield (c, d)
+        return
+    for a in range(n // 2 + 1):
+        self_negative = a + a in (0, n)
+        # a d = 1 + b c mod N has g = gcd(a, N) solutions d, one per
+        # step N/g, or none
+        g = gcd(a, n)
+        step = n // g
+        inv = pow(a // g, -1, step)
+        for b, c in product(range(n), repeat=2):
+            r = 1 + b * c
+            if r % g:
+                continue
+            for d in range(r // g * inv % step, n, step):
+                if not self_negative or (b, c, d) <= (-b % n, -c % n, -d % n):
+                    yield (a, b, c, d)

@@ -10,13 +10,13 @@ SVG output turns them into floats once per triangle.
 
 from __future__ import annotations
 
-import json
 import math
 from itertools import cycle
+from json.encoder import encode_basestring_ascii as json_quote
 from math import gcd
 
 from . import cosets
-from .cosets import CosetList
+from .cosets import CosetList, dumps_with_records
 from .projline import m_table
 from .residues import Level
 from .words import Cusp, cusp, mobius_cusp
@@ -236,28 +236,28 @@ def render_svg(coset_list: CosetList, options: RenderOptions | None = None) -> s
 
 def render_json(coset_list: CosetList) -> str:
     """Machine-readable triangles with exact vertex descriptions."""
-    records = []
-    for w, m in zip(coset_list.reps, coset_list.mats):
-        a, b, c, d = m
-        matrix = [[a, b], [c, d]]
+
+    def row(w, m):
         cz = mobius_cusp(m)
-        records.append(
-            {
-                "word": str(w),
-                "cusp": str(cz),
-                "vertices": [
-                    {"type": "interior", "matrix": matrix, "base": "rho"},
-                    {"type": "interior", "matrix": matrix, "base": "rho2"},
-                    {"type": "cusp", "p": cz.p, "q": cz.q},
-                ],
-            }
-        )
+        return (json_quote(str(w)), json_quote(str(cz)), *m, *m, cz.p, cz.q)
+
     doc = {
         "N": coset_list.level.n,
         "group": coset_list.group.value,
-        "triangles": records,
+        "triangles": [],
     }
-    return json.dumps(doc, indent=1)
+    matrix = [["%d", "%d"], ["%d", "%d"]]
+    record = {
+        "word": "%s",
+        "cusp": "%s",
+        "vertices": [
+            {"type": "interior", "matrix": matrix, "base": "rho"},
+            {"type": "interior", "matrix": matrix, "base": "rho2"},
+            {"type": "cusp", "p": "%d", "q": "%d"},
+        ],
+    }
+    rows = map(row, coset_list.reps, coset_list.mats)
+    return dumps_with_records(doc, "triangles", record, rows)
 
 
 # ---------------------------------------------------------------------------

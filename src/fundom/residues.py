@@ -10,6 +10,7 @@ into the window and `residues` lists the window.
 from __future__ import annotations
 
 from math import gcd
+from operator import attrgetter
 
 
 class NotAUnit(ValueError):
@@ -24,22 +25,29 @@ class Frozen:
 
     __slots__ = ()
 
-    def _fields(self) -> tuple:
-        return tuple([getattr(self, f) for f in self.__slots__])
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # one getter of the field tuple per class; attrgetter of one
+        # name gives the bare value, so that one is wrapped
+        get = attrgetter(*cls.__slots__)
+        if len(cls.__slots__) == 1:
+            cls._fields_of = staticmethod(lambda self: (get(self),))
+        else:
+            cls._fields_of = staticmethod(get)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __reduce__(self):
-        return (type(self), self._fields())
+        return (type(self), self._fields_of(self))
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._fields_of(self) == self._fields_of(other)
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._fields_of(self))
 
     def __repr__(self):
         args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)

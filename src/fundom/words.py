@@ -142,7 +142,8 @@ def st(i: int) -> GroupWord:
     return make_word(("S",), ("T", i))
 
 
-_TOKEN_RE = re.compile(r"S|T(?:\^(-?\d+))?")
+_WORD_RE = re.compile(r"(?:S|T(?:\^-?\d+)?)*")
+_TOKEN_RE = re.compile(r"(S)|T(?:\^(-?\d+))?")
 
 
 def parse_word(s: str) -> GroupWord:
@@ -154,19 +155,16 @@ def parse_word(s: str) -> GroupWord:
         text = text[1:]
     if text == "I":
         return make_word(sign=sign)
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ValueError(f"bad word string {s!r} at position {pos}")
-        if m.group(0) == "S":
-            tokens.append(("S",))
-        else:
-            e = int(m.group(1)) if m.group(1) is not None else 1
-            tokens.append(("T", e))
-        pos = m.end()
-    return make_word(*tokens, sign=sign)
+    # the longest run of whole tokens ends where a token-by-token scan
+    # would stop
+    pos = _WORD_RE.match(text).end()
+    if pos != len(text):
+        raise ValueError(f"bad word string {s!r} at position {pos}")
+    tokens = [
+        ("S",) if is_s else ("T", int(e) if e else 1)
+        for is_s, e in _TOKEN_RE.findall(text)
+    ]
+    return GroupWord(tokens, sign)
 
 
 def fold(w: GroupWord) -> tuple:

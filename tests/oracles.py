@@ -9,7 +9,7 @@ Group membership is read off the entries mod N directly.
 
 from math import gcd
 
-from fundom.cosets import _coset_keys
+from fundom.cosets import Group, _coset_keys
 from fundom.residues import Level, inv_mod
 from fundom.words import (
     INFINITY, Cusp, GroupWord, Mat2, cusp, make_word, mobius_cusp, st,
@@ -199,4 +199,85 @@ def list_cusp_classes(level: Level) -> dict:
     return {
         rep: (cusp_width(rep, level), sorted(members))
         for rep, members in groups.items()
+    }
+
+
+def unit_rows(level: Level):
+    """The rows (c, d) mod N with gcd(c, d, N) = 1, as a stream."""
+    n = level.n
+    return (
+        (c, d)
+        for c in range(n)
+        for d in range(n)
+        if gcd(gcd(c, d), n) == 1
+    )
+
+
+def some_lift(c: int, d: int, n: int) -> Mat2:
+    """Some integer matrix of determinant 1 whose bottom row is
+    congruent to (c, d) mod N; requires gcd(c, d, N) = 1."""
+    cc = c if c != 0 else n
+    dd = d
+    while gcd(cc, dd) != 1:
+        dd += n
+    a = pow(dd, -1, abs(cc))
+    b = (a * dd - 1) // cc
+    return Mat2(a, b, cc, dd)
+
+
+def streamed_keys(level: Level, group):
+    """The key of every Gamma_1 or Gamma(N) coset, each once, in the
+    order of the unit rows: one row of each pair (c, d), (-c, -d), and
+    for Gamma(N) its N completions to a matrix."""
+    n = level.n
+    for c, d in unit_rows(level):
+        if (c, d) > (-c % n, -d % n):
+            continue  # the row (-c, -d) gives the same cosets
+        if group is Group.GAMMA1:
+            yield coset_key((0, 0, c, d), level, group)
+        else:
+            a, b, _, _ = some_lift(c, d, n)
+            for t in range(n):
+                yield coset_key((a + t * c, b + t * d, c, d), level, group)
+
+
+def list_json_doc(coset_list) -> dict:
+    """The document CosetList.to_json writes, as a dict."""
+    return {
+        "N": coset_list.level.n,
+        "group": coset_list.group.value,
+        "reps": [
+            {
+                "word": str(w),
+                "matrix": [[a, b], [c, d]],
+                "cusp": str(cusp(a, c)),
+            }
+            for w, (a, b, c, d) in zip(coset_list.reps, coset_list.mats)
+        ],
+        "verified": coset_list.verified,
+    }
+
+
+def render_json_doc(coset_list) -> dict:
+    """The document domain.render_json writes, as a dict."""
+    records = []
+    for w, m in zip(coset_list.reps, coset_list.mats):
+        a, b, c, d = m
+        matrix = [[a, b], [c, d]]
+        cz = mobius_cusp(m)
+        records.append(
+            {
+                "word": str(w),
+                "cusp": str(cz),
+                "vertices": [
+                    {"type": "interior", "matrix": matrix, "base": "rho"},
+                    {"type": "interior", "matrix": matrix, "base": "rho2"},
+                    {"type": "cusp", "p": cz.p, "q": cz.q},
+                ],
+            }
+        )
+    return {
+        "N": coset_list.level.n,
+        "group": coset_list.group.value,
+        "triangles": records,
     }

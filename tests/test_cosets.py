@@ -1,4 +1,5 @@
 import gc
+import json
 import tracemalloc
 
 import pytest
@@ -32,7 +33,10 @@ from oracles import (
     in_gamma0,
     in_gammaN,
     in_pm_gamma1,
+    list_json_doc,
     row_map,
+    streamed_keys,
+    unit_rows,
 )
 
 
@@ -327,10 +331,44 @@ def test_verify_of_a_short_list_streams_the_coset_space():
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize("group", [Group.GAMMA1, Group.GAMMA_FULL])
+def test_all_keys_ascend_through_the_streamed_keys(group):
+    for n in range(2, 31):
+        level = Level(n)
+        want = sorted(streamed_keys(level, group))
+        assert list(cosets._all_keys(level, group)) == want, n
+
+
+@pytest.mark.parametrize(
+    "n, group",
+    [(3000, Group.GAMMA1), (100, Group.GAMMA_FULL), (720, Group.GAMMA0)],
+)
+def test_verify_stops_at_the_last_missing_coset_it_names(
+    monkeypatch, n, group
+):
+    # a one-word list: the keys below the 20 smallest missing ones are
+    # at most the word's own, so the walk pulls at most 21 of them
+    pulled = []
+    all_keys = cosets._all_keys
+
+    def counting(level, grp):
+        for key in all_keys(level, grp):
+            pulled.append(key)
+            yield key
+
+    monkeypatch.setattr(cosets, "_all_keys", counting)
+    lst = CosetList(Level(n), group, [parse_word("S")])
+    report = _failure_report(lst)
+    s_key = coset_key((0, -1, 1, 0), lst.level, group)
+    assert len(pulled) <= cosets.MISSING_NAMED + 1
+    assert report.missing == [k for k in pulled if k != s_key]
+    assert report.missing_count == report.expected - 1
+
+
 def test_expected_count_equals_the_streamed_rows():
     for n in range(2, 201):
         level = Level(n)
-        rows = sum(1 for _ in cosets._unit_rows(level))
+        rows = sum(1 for _ in unit_rows(level))
         half = rows if n == 2 else rows // 2
         assert cosets._expected_count(level, Group.GAMMA1) == half, n
         assert cosets._expected_count(level, Group.GAMMA_FULL) == n * half, n
@@ -371,6 +409,25 @@ def test_json_roundtrip():
     m = evaluate(parse_word(rec["word"]))
     assert rec["matrix"] == [[m.a, m.b], [m.c, m.d]]
     assert rec["cusp"] == str(mobius_cusp(m))
+
+
+@pytest.mark.parametrize("group", list(Group))
+def test_list_json_is_the_standard_encoders_text(group):
+    for n in range(2, 13):
+        lst = build(Level(n), group)
+        for verified in (False, True):
+            lst.verified = verified
+            want = json.dumps(list_json_doc(lst), indent=1)
+            assert lst.to_json() == want, (n, verified)
+
+
+@pytest.mark.parametrize("words", [[], ["-ST^2"], ["I", "-I", "T^-12S"]])
+def test_list_json_of_short_lists_is_the_standard_encoders_text(words):
+    lst = CosetList(Level(7), Group.GAMMA1, [parse_word(w) for w in words])
+    want = json.dumps(list_json_doc(lst), indent=1)
+    assert lst.to_json() == want
+    if not words:
+        assert '"reps": [],' in want
 
 
 def test_build_dispatch():

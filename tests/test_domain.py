@@ -4,7 +4,7 @@ import math
 import pytest
 
 import fundom
-from fundom.cosets import theta0, verify
+from fundom.cosets import CosetList, Group, build, theta0, verify
 from fundom.domain import (
     RHO,
     RenderOptions,
@@ -19,7 +19,9 @@ from fundom.domain import (
     triangle_vertices,
 )
 from fundom.residues import Level
-from fundom.words import Cusp, cusp, evaluate, make_word, mobius_cusp, st
+from fundom.words import (
+    Cusp, cusp, evaluate, make_word, mobius_cusp, parse_word, st,
+)
 
 from oracles import (
     cusps_of,
@@ -27,6 +29,7 @@ from oracles import (
     matrix_search_witness,
     oracle_cusp_equivalent,
     oracle_width,
+    render_json_doc,
     word_identity,
 )
 
@@ -263,6 +266,22 @@ def test_render_json_schema():
             else:
                 assert set(v) == {"type", "matrix", "base"}
                 assert v["base"] in ("rho", "rho2")
+
+
+@pytest.mark.parametrize("group", list(Group))
+def test_render_json_is_the_standard_encoders_text(group):
+    for n in range(2, 13):
+        lst = build(Level(n), group)
+        assert render_json(lst) == json.dumps(render_json_doc(lst), indent=1)
+
+
+@pytest.mark.parametrize("words", [[], ["-ST^2"], ["I", "-I", "T^-12S"]])
+def test_render_json_of_short_lists_is_the_standard_encoders_text(words):
+    lst = CosetList(Level(7), Group.GAMMA1, [parse_word(w) for w in words])
+    want = json.dumps(render_json_doc(lst), indent=1)
+    assert render_json(lst) == want
+    if not words:
+        assert '"triangles": []' in want
 
 
 def test_render_json_n30_count():

@@ -84,6 +84,22 @@ def test_word_serialization_roundtrip():
     assert str(make_word(("S",), ("S",))) == "SS"
 
 
+@pytest.mark.parametrize(
+    "text, pos", [("T^", 1), ("Sx", 1), ("T^-", 1), ("ST^3Q", 4),
+                  ("-Sx", 1), (" S T", 1)],
+)
+def test_parse_word_names_where_a_bad_word_stops(text, pos):
+    with pytest.raises(ValueError) as exc:
+        parse_word(text)
+    assert str(exc.value) == f"bad word string {text!r} at position {pos}"
+
+
+def test_parse_word_of_no_tokens_is_the_identity():
+    assert parse_word("") == word_identity()
+    assert parse_word("-") == make_word(sign=-1)
+    assert str(parse_word("-")) == "-I"
+
+
 def test_evaluate_is_homomorphism():
     ws = [st(2), st(-1) * st(3), make_word(("S",)), word_identity()]
     for w1 in ws:
