@@ -32,10 +32,17 @@ class CayleyGraph:
     """The S, T and T^-1 neighbours of vertex i are s_nbr[i], t_nbr[i]
     and u_nbr[i], each -1 when that product is not in the list."""
 
-    def __init__(self, words: list[GroupWord], keys: list[tuple],
+    def __init__(self, coset_list: CosetList, keys: list[tuple],
                  s_nbr: list[int], t_nbr: list[int], u_nbr: list[int]):
-        self.words, self.keys = words, keys  # keys: PSL2-normalized
+        self.coset_list = coset_list
+        self.keys = keys  # PSL2-normalized
         self.s_nbr, self.t_nbr, self.u_nbr = s_nbr, t_nbr, u_nbr
+
+    @property
+    def words(self) -> list[GroupWord]:
+        """The word of each vertex, read from the list only when asked:
+        a Theta(N) list builds its words on first read."""
+        return self.coset_list.reps
 
     def __len__(self):
         return len(self.keys)
@@ -103,7 +110,7 @@ def build_graph(coset_list: CosetList) -> CayleyGraph:
     for i, j in enumerate(t_nbr):
         if j >= 0:
             u_nbr[j] = i
-    return CayleyGraph(list(coset_list.reps), keys, s_nbr, t_nbr, u_nbr)
+    return CayleyGraph(coset_list, keys, s_nbr, t_nbr, u_nbr)
 
 
 def _raise_duplicate(words, keys):

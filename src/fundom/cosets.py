@@ -8,7 +8,9 @@ P^1(Z/NZ):
   Theta_1: Theta_0, then the products (S T^k S T^{k^-1} S) * Theta_0
            rewritten as S T^k S T^i and S T^k S T^x S T^m with
            x = (k^-1 + j)~, for each unit class k in [-N1, -2];
-  Theta(N): T^l * Theta_1 for l in the symmetric window.
+  Theta(N): T^l * Theta_1 for l in the symmetric window; its matrices
+           are Theta_1's with T^l applied by arithmetic, and its words
+           are built only when read.
 
 Every list can be verified directly: completeness and distinctness are
 counted against the actual coset spaces, never read off index formulas.
@@ -27,7 +29,7 @@ from . import projline
 from .residues import Level, inv_mod
 from .words import (
     GroupWord,
-    cusp,
+    cusp_fields,
     fold,
     make_word,
     parse_word,
@@ -66,28 +68,56 @@ def dumps_with_records(doc: dict, key: str, record: dict, rows) -> str:
 
 
 class CosetList:
-    __slots__ = ("level", "group", "reps", "verified", "_mats")
+    """A representative list.  A Theta(N) list from `theta_full` keeps
+    its Theta_1(N) list and builds its words only when `reps` is read;
+    until then its matrices follow from Theta_1's by arithmetic."""
+
+    __slots__ = ("level", "group", "verified", "_reps", "_mats", "_inner")
 
     def __init__(self, level: Level, group: Group, reps: list[GroupWord]):
-        self.level, self.group, self.reps = level, group, reps
+        self.level, self.group, self._reps = level, group, reps
         self.verified = False
         self._mats: list[tuple] | None = None
+        self._inner: CosetList | None = None
+
+    @property
+    def reps(self) -> list[GroupWord]:
+        """The words; a Theta(N) list builds them on first read."""
+        if self._reps is None:
+            inner = self._inner.reps
+            shifts = [make_word(("T", ell)) for ell in self.level.residues()]
+            self._reps = [t * w for t in shifts for w in inner]
+            self._inner = None
+        return self._reps
 
     @property
     def mats(self) -> list[tuple]:
         """The matrix of each word as a plain tuple (a, b, c, d), each
         determinant checked once when the list is first read."""
         if self._mats is None:
-            self._mats = list(map(fold, self.reps))
+            if self._reps is None:
+                # T^l (a, b, c, d) = (a + lc, b + ld, c, d) keeps the
+                # determinant Theta_1's fold checked
+                inner = self._inner.mats
+                self._mats = [
+                    (a + ell * c, b + ell * d, c, d)
+                    for ell in self.level.residues()
+                    for a, b, c, d in inner
+                ]
+            else:
+                self._mats = list(map(fold, self._reps))
         return self._mats
 
     def __len__(self):
-        return len(self.reps)
+        if self._reps is None:
+            return len(self.level.residues()) * len(self._inner)
+        return len(self._reps)
 
     def to_json(self) -> str:
+        # mats first: a Theta(N) list still derives them from Theta_1's
         rows = (
-            (json_quote(str(w)), a, b, c, d, json_quote(str(cusp(a, c))))
-            for w, (a, b, c, d) in zip(self.reps, self.mats)
+            (json_quote(str(w)), a, b, c, d, json_quote(cusp_fields(a, c)[0]))
+            for (a, b, c, d), w in zip(self.mats, self.reps)
         )
         doc = {
             "N": self.level.n,
@@ -159,10 +189,10 @@ def theta1(level: Level) -> CosetList:
 
 
 def theta_full(level: Level) -> CosetList:
-    inner = theta1(level).reps
-    shifts = [make_word(("T", ell)) for ell in level.residues()]
-    reps = [t * w for t in shifts for w in inner]
-    return CosetList(level, Group.GAMMA_FULL, reps)
+    # T^l * Theta_1 for each l of the window in turn, built when read
+    lst = CosetList(level, Group.GAMMA_FULL, None)
+    lst._inner = theta1(level)
+    return lst
 
 
 def build(level: Level, group: Group) -> CosetList:
@@ -283,13 +313,16 @@ def verify(coset_list: CosetList) -> VerificationReport:
     """
     level, group = coset_list.level, coset_list.group
     keys = _coset_keys(coset_list.mats, level, group)
-    seen: dict = {}
+    seen = dict.fromkeys(keys)
     duplicates = []
-    for w, key in zip(coset_list.reps, keys):
-        if key in seen:
-            duplicates.append((seen[key], w, key))
-        else:
-            seen[key] = w
+    if len(seen) < len(keys):
+        # only a failing list reads its words, to name the duplicates
+        first = {}
+        for w, key in zip(coset_list.reps, keys):
+            if key in first:
+                duplicates.append((first[key], w, key))
+            else:
+                first[key] = w
     expected = _expected_count(level, group)
     missing = []
     if len(seen) != expected and not duplicates:
@@ -300,7 +333,7 @@ def verify(coset_list: CosetList) -> VerificationReport:
             MISSING_NAMED,
         ))
     report = VerificationReport(
-        level, group, len(coset_list.reps), expected, duplicates, missing
+        level, group, len(coset_list), expected, duplicates, missing
     )
     if not report.ok:
         raise VerificationFailed(report)

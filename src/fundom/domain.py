@@ -11,7 +11,7 @@ SVG output turns them into floats once per triangle.
 from __future__ import annotations
 
 import math
-from itertools import cycle
+from itertools import cycle, repeat
 from json.encoder import encode_basestring_ascii as json_quote
 from math import gcd
 
@@ -19,7 +19,7 @@ from . import cosets
 from .cosets import CosetList, dumps_with_records
 from .projline import m_table
 from .residues import Level
-from .words import Cusp, cusp, mobius_cusp
+from .words import Cusp, cusp, cusp_fields
 
 RHO = complex(0.5, math.sqrt(3) / 2)  # exp(i pi / 3)
 RHO2 = RHO * RHO
@@ -203,9 +203,9 @@ def render_svg(coset_list: CosetList, options: RenderOptions | None = None) -> s
         f'width="{width:.4f}" height="{height:.4f}" '
         f'viewBox="0 0 {width:.4f} {height:.4f}">'
     ]
-    for (v1, v2, vc), color, word in zip(
-        points, cycle(PALETTE), coset_list.reps
-    ):
+    # the words are read only to label the triangles
+    words = coset_list.reps if opts.labels else repeat(None)
+    for (v1, v2, vc), color, word in zip(points, cycle(PALETTE), words):
         x1, pair1, clip1 = pixels(v1)
         x2, pair2, clip2 = pixels(v2)
         if vc is None:
@@ -237,9 +237,9 @@ def render_svg(coset_list: CosetList, options: RenderOptions | None = None) -> s
 def render_json(coset_list: CosetList) -> str:
     """Machine-readable triangles with exact vertex descriptions."""
 
-    def row(w, m):
-        cz = mobius_cusp(m)
-        return (json_quote(str(w)), json_quote(str(cz)), *m, *m, cz.p, cz.q)
+    def row(m, w):
+        text, p, q = cusp_fields(m[0], m[2])
+        return (json_quote(str(w)), json_quote(text), *m, *m, p, q)
 
     doc = {
         "N": coset_list.level.n,
@@ -256,7 +256,8 @@ def render_json(coset_list: CosetList) -> str:
             {"type": "cusp", "p": "%d", "q": "%d"},
         ],
     }
-    rows = map(row, coset_list.reps, coset_list.mats)
+    # mats first: a Theta(N) list still derives them from Theta_1's
+    rows = map(row, coset_list.mats, coset_list.reps)
     return dumps_with_records(doc, "triangles", record, rows)
 
 

@@ -7,9 +7,10 @@ word and an optional leading "-".
 
 `fold` multiplies a word out on four plain ints and returns the plain
 tuple (a, b, c, d), its determinant checked once; `CosetList.mats`
-holds these.  A `Mat2` is a tuple (a, b, c, d) that checks its
-determinant when it is built, for matrices that come in from outside:
-`evaluate` returns the word's matrix as one `Mat2`.
+holds these (a Theta(N) list shifts Theta_1's).  A `Mat2` is a tuple
+(a, b, c, d) that checks its determinant when it is built, for
+matrices that come in from outside: `evaluate` returns the word's
+matrix as one `Mat2`.
 """
 
 from __future__ import annotations
@@ -142,8 +143,9 @@ def st(i: int) -> GroupWord:
     return make_word(("S",), ("T", i))
 
 
-_WORD_RE = re.compile(r"(?:S|T(?:\^-?\d+)?)*")
-_TOKEN_RE = re.compile(r"(S)|T(?:\^(-?\d+))?")
+# [0-9], not \d: \d matches every Unicode digit, and int() reads them
+_WORD_RE = re.compile(r"(?:S|T(?:\^-?[0-9]+)?)*")
+_TOKEN_RE = re.compile(r"(S)|T(?:\^(-?[0-9]+))?")
 
 
 def parse_word(s: str) -> GroupWord:
@@ -231,6 +233,17 @@ def cusp(p: int, q: int) -> Cusp:
     if q < 0:
         p, q = -p, -q
     return Cusp(p, q)
+
+
+def cusp_fields(a: int, c: int) -> tuple[str, int, int]:
+    """str(cusp(a, c)) and the cusp's p and q, for a and c coprime, as
+    in the first column of a matrix of determinant 1: only the sign and
+    oo (c = 0) need handling, so no gcd is taken and no Cusp built."""
+    if c > 0:
+        return f"{a}/{c}", a, c
+    if c:
+        return f"{-a}/{-c}", -a, -c
+    return "oo", 1, 0
 
 
 def mobius_cusp(m) -> Cusp:

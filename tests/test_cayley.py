@@ -14,6 +14,7 @@ from fundom.cosets import (
     build,
     theta0,
     theta1,
+    theta_full,
 )
 from fundom.residues import Level
 from fundom.words import (
@@ -295,3 +296,12 @@ def test_to_dot():
     assert "[style=bold]" in dot
     tree_only = to_dot(g, tree, tree_only=True)
     assert tree_only.count(" -- ") == 11
+
+
+def test_graph_words_are_the_lists_words_read_when_needed():
+    lst = theta_full(Level(6))
+    g = build_graph(lst)
+    assert lst._reps is None  # building the graph read no word
+    assert g.words is lst.reps
+    dot = to_dot(g, spanning_tree(g))
+    assert dot.count("label=") == len(lst) == 72

@@ -100,12 +100,14 @@ def test_verify_load_without_n(tmp_path, capsys):
         (["verify", "--load", "{deep}"], 1, "recursion"),
         (["verify", "--load", "{bad_word}"], 1,
          "bad word string 'ST^' at position 2"),
+        (["verify", "--load", "{non_ascii_word}"], 1,
+         "bad word string 'ST^\u0663' at position 2"),
     ],
     ids=[
         "list-bad-level", "verify-no-range", "empty-sweep-5..3",
         "empty-sweep-3..2", "sweep-not-a-range", "load-n-mismatch",
         "sweep-with-n", "sweep-with-load", "out-dir-missing",
-        "load-deeply-nested", "load-bad-word",
+        "load-deeply-nested", "load-bad-word", "load-non-ascii-digit",
     ],
 )
 def test_error_exits_with_one_error_line(tmp_path, capsys, argv, code,
@@ -114,8 +116,12 @@ def test_error_exits_with_one_error_line(tmp_path, capsys, argv, code,
     deep.write_text('{"N": 6, "group": "gamma0", "reps": ' + "[" * 100_000)
     bad_word = tmp_path / "bad_word.json"
     bad_word.write_text(json.dumps({**GOOD_DOC, "reps": [{"word": "ST^"}]}))
+    non_ascii_word = tmp_path / "non_ascii_word.json"
+    non_ascii_word.write_text(
+        json.dumps({**GOOD_DOC, "reps": [{"word": "ST^\u0663"}]}))
     paths = {"list": _saved_list(tmp_path), "missing": tmp_path / "missing",
-             "deep": deep, "bad_word": bad_word}
+             "deep": deep, "bad_word": bad_word,
+             "non_ascii_word": non_ascii_word}
     argv = [a.format(**paths) for a in argv]
     got, out, err = run(capsys, *argv)
     assert got == code

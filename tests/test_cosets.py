@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from fundom import cosets, projline
+from fundom.cayley import build_graph, is_connected
 from fundom.cosets import (
     CosetList,
     Group,
@@ -19,7 +20,10 @@ from fundom.projline import big_m, enumerate_p1, normalize
 from fundom.residues import Level, inv_mod
 from fundom.words import (
     GroupWord,
+    cusp,
+    cusp_fields,
     evaluate,
+    fold,
     make_word,
     mobius_cusp,
     parse_word,
@@ -508,3 +512,72 @@ def test_coset_keys_equal_the_min_of_both_signs():
                         ):
                             assert coset_key(m, lvl, Group.GAMMA_FULL) == full
                             assert coset_key(m, lvl, Group.GAMMA1) == row
+
+
+# ---------------------------------------------------------------------------
+# Theta(N) built from Theta_1(N): matrices by arithmetic, words when read
+
+
+def test_shifted_mats_equal_the_folded_words():
+    for n in range(2, 31):
+        lst = theta_full(Level(n))
+        mats = lst.mats
+        assert lst._reps is None  # derived from Theta_1, no word built
+        assert all(type(m) is tuple for m in mats)
+        assert mats == list(map(fold, theta_full(Level(n)).reps)), n
+
+
+def test_len_of_theta_full_is_the_number_of_words():
+    for n in range(2, 31):
+        lst = theta_full(Level(n))
+        count = len(lst)
+        assert lst._reps is None
+        assert count == len(lst.reps) == len(lst), n
+
+
+def test_verify_and_connectivity_of_theta_full_build_no_word(monkeypatch):
+    lst = theta_full(Level(60))
+    calls = []
+    mul = GroupWord.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(GroupWord, "__mul__", counting)
+    assert verify(lst).ok
+    assert is_connected(build_graph(lst))
+    assert calls == []
+    assert lst._reps is None
+
+
+def test_mats_and_reps_in_either_order():
+    for n in (2, 5, 12, 18):
+        mats_first = theta_full(Level(n))
+        mats = mats_first.mats
+        reps = mats_first.reps
+        reps_first = theta_full(Level(n))
+        assert reps_first.reps == reps
+        assert reps_first.mats == mats
+        assert mats_first._inner is None  # dropped once the words exist
+
+
+def test_duplicate_appended_to_read_words_names_both():
+    n = 7
+    lst = theta_full(Level(n))
+    words = lst.reps
+    w = words[100]
+    twin = make_word(("T", n)) * w
+    words.append(twin)
+    report = _failure_report(lst)
+    assert report.count == len(words)
+    assert [d[:2] for d in report.duplicates] == [(w, twin)]
+    key = _key_mod_n(evaluate(w), Group.GAMMA_FULL, n)
+    assert report.duplicates[0][2] == key
+
+
+def test_cusp_fields_equal_the_cusps_they_print():
+    for lst in (theta0(Level(60)), theta1(Level(30)), theta_full(Level(12))):
+        for a, _, c, _ in lst.mats:
+            cz = cusp(a, c)
+            assert cusp_fields(a, c) == (str(cz), cz.p, cz.q)

@@ -318,3 +318,14 @@ def test_cusp_tables_text_n30():
     csv = cusp_tables_csv(L30)
     assert "3,-1/3,4,1/3" in csv
     assert "1/2,15,," in csv
+
+
+def test_unlabelled_svg_reads_no_word():
+    lst = build(Level(6), Group.GAMMA_FULL)
+    svg = render_svg(lst)
+    assert lst._reps is None
+    labelled = render_svg(lst, RenderOptions(labels=True))
+    assert labelled.count("<text ") == len(lst) == 72
+    # the labels are the only difference
+    kept = [line for line in labelled.splitlines() if "<text " not in line]
+    assert kept == svg.splitlines()

@@ -86,7 +86,9 @@ def test_word_serialization_roundtrip():
 
 @pytest.mark.parametrize(
     "text, pos", [("T^", 1), ("Sx", 1), ("T^-", 1), ("ST^3Q", 4),
-                  ("-Sx", 1), (" S T", 1)],
+                  ("-Sx", 1), (" S T", 1),
+                  # exponents are ASCII digits only
+                  ("ST^٣", 2), ("T^１２", 1)],
 )
 def test_parse_word_names_where_a_bad_word_stops(text, pos):
     with pytest.raises(ValueError) as exc:
