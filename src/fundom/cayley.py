@@ -41,7 +41,7 @@ class CayleyGraph:
     @property
     def words(self) -> list[GroupWord]:
         """The word of each vertex, read from the list only when asked:
-        a Theta(N) list builds its words on first read."""
+        a built list makes its words on first read."""
         return self.coset_list.reps
 
     def __len__(self):

@@ -1,15 +1,24 @@
 """Command-line front end.
 
 Subcommands: list, verify, mtable, cusps, render, graph.  Every emit
-command verifies its list first.  --no-verify skips that; then an SVG
-render starts with an `UNVERIFIED LIST` comment and list JSON carries
-"verified": false, while the other outputs carry no mark.  Exit codes:
-0 ok; 1 failed verification, unreadable/malformed input, or output that
-cannot be written (such as a pipe whose reader closed early); 2 usage
-error, including an empty sweep, --sweep together with --N or --load, a
---N that disagrees with the loaded file, and a render --y-max that is
-not a finite number > 0 or whose canvas height is not finite.  Commands return their exit code
-or raise CliError; main prints every `error:` line.
+command verifies its list first.  --no-verify skips that, and marks the
+output: an SVG render starts with `<!-- UNVERIFIED LIST -->`, a DOT
+graph with `// UNVERIFIED LIST` and a text list with `# UNVERIFIED
+LIST`, and list and render JSON carry "verified": false.
+
+No command builds more than MAX_COSETS cosets.  Each list's size is
+estimated from the group's index at its level before anything is built
+(psi(N) for cusps and mtable), and a whole sweep is checked before its
+first level.
+
+Exit codes: 0 ok; 1 failed verification, unreadable/malformed input, a
+--load file whose list is over the cap, or output that cannot be
+written (such as a pipe whose reader closed early); 2 usage error,
+including a --N or --sweep over the cap, an empty sweep, --sweep
+together with --N or --load, a --N that disagrees with the loaded file,
+and a render --y-max that is not a finite number > 0 or whose canvas
+height is not finite.  Commands return their exit code or raise
+CliError; main prints every `error:` line.
 """
 
 from __future__ import annotations
@@ -32,11 +41,49 @@ class CliError(Exception):
         self.code = code
 
 
+# The most cosets one command may build.  Gamma(120), 552,960 cosets
+# (`verify` peaks near 370 MB), fits.
+MAX_COSETS = 10**6
+
+
 def _level(n: int) -> Level:
     try:
         return Level(n)
     except ValueError as exc:
         raise CliError(2, str(exc)) from exc
+
+
+def _index(n: int, group: Group) -> int:
+    """The size of the group's list at level n, from the index formulas:
+    psi(N) for Gamma_0, psi(N) phi(N) / 2 for Gamma_1 (psi(2) at N = 2)
+    and N times that for Gamma(N)."""
+    psi = phi = n
+    m, p = n, 2
+    while p * p <= m:
+        if m % p == 0:
+            psi, phi = psi // p * (p + 1), phi // p * (p - 1)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        psi, phi = psi // m * (m + 1), phi // m * (m - 1)
+    if group is Group.GAMMA0:
+        return psi
+    gamma1 = psi * max(phi // 2, 1)
+    return gamma1 if group is Group.GAMMA1 else n * gamma1
+
+
+def _check_size(n: int, groups, code: int = 2):
+    """Refuse level n when some group's list there is over MAX_COSETS."""
+    for group in groups:
+        # every index is at least N, so a larger N is not factored
+        size = n if n > MAX_COSETS else _index(n, group)
+        if size > MAX_COSETS:
+            bound = "at least " if n > MAX_COSETS else ""
+            raise CliError(
+                code, f"{group.value} N={n} has {bound}{size} cosets, "
+                f"over the cap of {MAX_COSETS}",
+            )
 
 
 def _parse_sweep(text: str) -> range:
@@ -83,10 +130,17 @@ def _write_stdout(text: str):
 
 
 def _verified_list(args) -> CosetList:
-    lst = cosets.build(_level(args.N), Group(args.group))
+    level, group = _level(args.N), Group(args.group)
+    _check_size(args.N, [group])
+    lst = cosets.build(level, group)
     if not args.no_verify:
         cosets.verify(lst)
     return lst
+
+
+def _marked(text: str, args, comment: str) -> str:
+    """text, after a first line `comment` when --no-verify is set."""
+    return f"{comment}\n{text}" if args.no_verify else text
 
 
 def cmd_list(args) -> int:
@@ -94,7 +148,8 @@ def cmd_list(args) -> int:
     if args.format == "json":
         _write(lst.to_json() + "\n", args.out)
     else:
-        _write("".join(f"{w}\n" for w in lst.reps), args.out)
+        text = "".join(f"{w}\n" for w in lst.reps)
+        _write(_marked(text, args, "# UNVERIFIED LIST"), args.out)
     return 0
 
 
@@ -128,6 +183,7 @@ def _load(args) -> CosetList:
         raise CliError(
             2, f"--N {args.N} but {args.load} holds N={lst.level.n}"
         )
+    _check_size(lst.level.n, [lst.group], code=1)
     return lst
 
 
@@ -143,6 +199,9 @@ def cmd_verify(args) -> int:
     else:
         raise CliError(2, "verify needs --N, --sweep or --load")
     groups = list(Group) if args.group == "all" else [Group(args.group)]
+    # top level first: past the cap, no level of the sweep is factored
+    for n in reversed(levels):
+        _check_size(n, groups)
     failed = False
     for n in levels:
         level = _level(n)
@@ -152,8 +211,15 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def cmd_mtable(args) -> int:
+def _p1_level(args) -> Level:
+    """The --N of cusps and mtable, whose P^1 has psi(N) classes."""
     level = _level(args.N)
+    _check_size(args.N, [Group.GAMMA0])
+    return level
+
+
+def cmd_mtable(args) -> int:
+    level = _p1_level(args)
     mt = projline.m_table(level)
     dist = projline.m_distribution(level)
     if args.format == "json":
@@ -174,7 +240,7 @@ def cmd_mtable(args) -> int:
 
 
 def cmd_cusps(args) -> int:
-    level = _level(args.N)
+    level = _p1_level(args)
     if args.format == "csv":
         _write(domain.cusp_tables_csv(level), args.out)
     else:
@@ -189,12 +255,11 @@ def cmd_render(args) -> int:
         raise CliError(2, f"--y-max: {exc}") from exc
     lst = _verified_list(args)
     if args.format == "json":
-        _write(domain.render_json(lst) + "\n", args.out)
+        text = domain.render_json(lst, mark_unverified=args.no_verify)
+        _write(text + "\n", args.out)
         return 0
     svg = domain.render_svg(lst, opts)
-    if args.no_verify:
-        svg = svg.replace("<svg ", "<!-- UNVERIFIED LIST -->\n<svg ", 1)
-    _write(svg, args.out)
+    _write(_marked(svg, args, "<!-- UNVERIFIED LIST -->"), args.out)
     return 0
 
 
@@ -202,7 +267,8 @@ def cmd_graph(args) -> int:
     lst = _verified_list(args)
     graph = cayley.build_graph(lst)
     tree = cayley.spanning_tree(graph)
-    _write(cayley.to_dot(graph, tree, tree_only=args.tree_only), args.out)
+    dot = cayley.to_dot(graph, tree, tree_only=args.tree_only)
+    _write(_marked(dot, args, "// UNVERIFIED LIST"), args.out)
     return 0
 
 

@@ -8,9 +8,12 @@ P^1(Z/NZ):
   Theta_1: Theta_0, then the products (S T^k S T^{k^-1} S) * Theta_0
            rewritten as S T^k S T^i and S T^k S T^x S T^m with
            x = (k^-1 + j)~, for each unit class k in [-N1, -2];
-  Theta(N): T^l * Theta_1 for l in the symmetric window; its matrices
-           are Theta_1's with T^l applied by arithmetic, and its words
-           are built only when read.
+  Theta(N): T^l * Theta_1 for l in the symmetric window.
+
+The builders read the level's M table once and build no word: while
+`reps` is unread, a list's matrices come from closed forms (S T^i is
+(0, -1, 1, i), S T^j S T^m is (-1, -m, j, jm - 1), and Theta(N) applies
+T^l to Theta_1's by arithmetic), and the words are built on first read.
 
 Every list can be verified directly: completeness and distinctness are
 counted against the actual coset spaces, never read off index formulas.
@@ -68,53 +71,45 @@ def dumps_with_records(doc: dict, key: str, record: dict, rows) -> str:
 
 
 class CosetList:
-    """A representative list.  A Theta(N) list from `theta_full` keeps
-    its Theta_1(N) list and builds its words only when `reps` is read;
-    until then its matrices follow from Theta_1's by arithmetic."""
+    """A representative list.  A list from the builders starts from a
+    `_Source`: its matrices come from closed forms while `reps` is
+    unread, and its words are built on first read."""
 
-    __slots__ = ("level", "group", "verified", "_reps", "_mats", "_inner")
+    __slots__ = ("level", "group", "verified", "_reps", "_mats", "_source")
 
     def __init__(self, level: Level, group: Group, reps: list[GroupWord]):
         self.level, self.group, self._reps = level, group, reps
         self.verified = False
         self._mats: list[tuple] | None = None
-        self._inner: CosetList | None = None
+        self._source: _Source | None = None
 
     @property
     def reps(self) -> list[GroupWord]:
-        """The words; a Theta(N) list builds them on first read."""
+        """The words; a built list makes them on first read."""
         if self._reps is None:
-            inner = self._inner.reps
-            shifts = [make_word(("T", ell)) for ell in self.level.residues()]
-            self._reps = [t * w for t in shifts for w in inner]
-            self._inner = None
+            self._reps = self._source.words()
+            self._source = None
         return self._reps
 
     @property
     def mats(self) -> list[tuple]:
         """The matrix of each word as a plain tuple (a, b, c, d), each
-        determinant checked once when the list is first read."""
+        determinant checked once when the list is first read: by `fold`
+        once the words exist, and by algebra for the closed forms."""
         if self._mats is None:
             if self._reps is None:
-                # T^l (a, b, c, d) = (a + lc, b + ld, c, d) keeps the
-                # determinant Theta_1's fold checked
-                inner = self._inner.mats
-                self._mats = [
-                    (a + ell * c, b + ell * d, c, d)
-                    for ell in self.level.residues()
-                    for a, b, c, d in inner
-                ]
+                self._mats = self._source.mats()
             else:
                 self._mats = list(map(fold, self._reps))
         return self._mats
 
     def __len__(self):
         if self._reps is None:
-            return len(self.level.residues()) * len(self._inner)
+            return self._source.size
         return len(self._reps)
 
     def to_json(self) -> str:
-        # mats first: a Theta(N) list still derives them from Theta_1's
+        # mats first: a built list still has them from closed forms
         rows = (
             (json_quote(str(w)), a, b, c, d, json_quote(cusp_fields(a, c)[0]))
             for (a, b, c, d), w in zip(self.mats, self.reps)
@@ -142,6 +137,22 @@ class CosetList:
         )
 
 
+class _Source:
+    """How a built list of `size` representatives makes its words, and
+    its matrices while the words are unread."""
+
+    __slots__ = ("size", "words", "mats")
+
+    def __init__(self, size: int, words, mats):
+        self.size, self.words, self.mats = size, words, mats
+
+
+def _built(level: Level, group: Group, size: int, words, mats) -> CosetList:
+    lst = CosetList(level, group, None)
+    lst._source = _Source(size, words, mats)
+    return lst
+
+
 def _unit_ks(level: Level):
     """Representatives k in [-N1, -2] of the unit classes mod +-1,
     excluding the class of 1 (represented by the identity word)."""
@@ -150,49 +161,103 @@ def _unit_ks(level: Level):
     ]
 
 
-def _st_words(level: Level, mt: projline.MTable) -> dict[int, GroupWord]:
+def _theta0_size(level: Level, entries: dict) -> int:
+    # the window's S T^i, then M_j + 1 words per nonunit j
+    return level.n + sum(entries.values()) + len(entries)
+
+
+def _st_words(level: Level, entries: dict) -> dict[int, GroupWord]:
     """The words S T^i for i in the window and for 0 <= i <= max M_j,
     keyed by i: every S T^i the Theta builders use, built once."""
-    top = max(level.n2, max(mt.entries.values(), default=0))
+    top = max(level.n2, max(entries.values(), default=0))
     return {i: st(i) for i in range(-level.n1, top + 1)}
 
 
-def _theta0_reps(
-    level: Level, mt: projline.MTable, sts: dict[int, GroupWord]
+def _theta0_words(
+    level: Level, entries: dict, sts: dict[int, GroupWord]
 ) -> list[GroupWord]:
     reps = [sts[i] for i in level.residues()]
-    for j, mj in mt.entries.items():  # nonunit j
+    for j, mj in entries.items():  # nonunit j
         sj = sts[j]
         reps += [sj * sts[m] for m in range(mj + 1)]
     return reps
 
 
+def _theta0_mats(level: Level, entries: dict) -> list[tuple]:
+    # S T^i = (0, -1, 1, i) and S T^j S T^m = (-1, -m, j, jm - 1)
+    mats = [(0, -1, 1, i) for i in level.residues()]
+    for j, mj in entries.items():
+        mats += [(-1, -m, j, j * m - 1) for m in range(mj + 1)]
+    return mats
+
+
 def theta0(level: Level) -> CosetList:
-    mt = projline.m_table(level)
-    reps = _theta0_reps(level, mt, _st_words(level, mt))
-    return CosetList(level, Group.GAMMA0, reps)
+    entries = projline.m_table(level).entries
+    return _built(
+        level, Group.GAMMA0, _theta0_size(level, entries),
+        lambda: _theta0_words(level, entries, _st_words(level, entries)),
+        lambda: _theta0_mats(level, entries),
+    )
 
 
-def theta1(level: Level) -> CosetList:
-    mt = projline.m_table(level)
-    sts = _st_words(level, mt)
-    reps = _theta0_reps(level, mt, sts)
+def _theta1_words(level: Level, entries: dict, ks: list) -> list[GroupWord]:
+    sts = _st_words(level, entries)
+    reps = _theta0_words(level, entries, sts)
     window = level.residues()
-    for k in _unit_ks(level):
+    for k in ks:
         kinv = inv_mod(k, level)
         sk = sts[k]
         reps += [sk * sts[i] for i in window]
-        for j, mj in mt.entries.items():
+        for j, mj in entries.items():
             skx = sk * sts[level.reduce(kinv + j)]
             reps += [skx * sts[m] for m in range(mj + 1)]
-    return CosetList(level, Group.GAMMA1, reps)
+    return reps
+
+
+def _theta1_mats(level: Level, entries: dict, ks: list) -> list[tuple]:
+    # S T^k S T^i = (-1, -i, k, ki - 1), and
+    # S T^k S T^x S T^m = (-x, 1 - mx, kx - 1, m(kx - 1) - k)
+    mats = _theta0_mats(level, entries)
+    window = level.residues()
+    for k in ks:
+        kinv = inv_mod(k, level)
+        mats += [(-1, -i, k, k * i - 1) for i in window]
+        for j, mj in entries.items():
+            x = level.reduce(kinv + j)
+            kx = k * x - 1
+            mats += [(-x, 1 - m * x, kx, m * kx - k) for m in range(mj + 1)]
+    return mats
+
+
+def theta1(level: Level) -> CosetList:
+    entries = projline.m_table(level).entries
+    ks = _unit_ks(level)
+    return _built(
+        level, Group.GAMMA1, _theta0_size(level, entries) * (1 + len(ks)),
+        lambda: _theta1_words(level, entries, ks),
+        lambda: _theta1_mats(level, entries, ks),
+    )
 
 
 def theta_full(level: Level) -> CosetList:
-    # T^l * Theta_1 for each l of the window in turn, built when read
-    lst = CosetList(level, Group.GAMMA_FULL, None)
-    lst._inner = theta1(level)
-    return lst
+    # T^l * Theta_1 for each l of the window in turn
+    inner = theta1(level)
+    shifts = level.residues()
+
+    def words():
+        ts = [make_word(("T", ell)) for ell in shifts]
+        inner_reps = inner.reps
+        return [t * w for t in ts for w in inner_reps]
+
+    def mats():
+        # T^l (a, b, c, d) = (a + lc, b + ld, c, d) keeps the determinant
+        return [
+            (a + ell * c, b + ell * d, c, d)
+            for ell in shifts
+            for a, b, c, d in inner.mats
+        ]
+
+    return _built(level, Group.GAMMA_FULL, level.n * len(inner), words, mats)
 
 
 def build(level: Level, group: Group) -> CosetList:

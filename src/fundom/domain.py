@@ -234,8 +234,9 @@ def render_svg(coset_list: CosetList, options: RenderOptions | None = None) -> s
     return "\n".join(parts) + "\n"
 
 
-def render_json(coset_list: CosetList) -> str:
-    """Machine-readable triangles with exact vertex descriptions."""
+def render_json(coset_list: CosetList, mark_unverified: bool = False) -> str:
+    """Machine-readable triangles with exact vertex descriptions; with
+    mark_unverified, the document ends with "verified": false."""
 
     def row(m, w):
         text, p, q = cusp_fields(m[0], m[2])
@@ -246,6 +247,8 @@ def render_json(coset_list: CosetList) -> str:
         "group": coset_list.group.value,
         "triangles": [],
     }
+    if mark_unverified:
+        doc["verified"] = False
     matrix = [["%d", "%d"], ["%d", "%d"]]
     record = {
         "word": "%s",
@@ -256,7 +259,7 @@ def render_json(coset_list: CosetList) -> str:
             {"type": "cusp", "p": "%d", "q": "%d"},
         ],
     }
-    # mats first: a Theta(N) list still derives them from Theta_1's
+    # mats first: a built list still has them from closed forms
     rows = map(row, coset_list.mats, coset_list.reps)
     return dumps_with_records(doc, "triangles", record, rows)
 

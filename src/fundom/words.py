@@ -7,7 +7,7 @@ word and an optional leading "-".
 
 `fold` multiplies a word out on four plain ints and returns the plain
 tuple (a, b, c, d), its determinant checked once; `CosetList.mats`
-holds these (a Theta(N) list shifts Theta_1's).  A `Mat2` is a tuple
+holds these, or a built list's closed forms.  A `Mat2` is a tuple
 (a, b, c, d) that checks its determinant when it is built, for
 matrices that come in from outside: `evaluate` returns the word's
 matrix as one `Mat2`.

@@ -249,6 +249,31 @@ def test_no_verify_marks_svg_and_list_json(capsys):
     assert json.loads(out)["verified"] is False
 
 
+@pytest.mark.parametrize("command, first_line", [
+    (["graph"], "// UNVERIFIED LIST"),
+    (["list", "--format", "text"], "# UNVERIFIED LIST"),
+    (["render"], "<!-- UNVERIFIED LIST -->"),
+])
+def test_no_verify_adds_a_first_line_to_every_text_output(
+    command, first_line, capsys
+):
+    args = [*command, "--N", "6", "--group", "gamma1"]
+    code, default, _ = run(capsys, *args)
+    assert code == 0 and not default.startswith(first_line)
+    code, marked, _ = run(capsys, *args, "--no-verify")
+    assert code == 0
+    assert marked == f"{first_line}\n{default}"
+
+
+def test_no_verify_render_json_only_adds_verified_false(capsys):
+    args = ["render", "--N", "6", "--group", "gammaN", "--format", "json"]
+    _, default, _ = run(capsys, *args)
+    assert "verified" not in default
+    _, marked, _ = run(capsys, *args, "--no-verify")
+    assert marked == default[:-3] + ',\n "verified": false\n}\n'
+    assert json.loads(marked)["verified"] is False
+
+
 def test_verify_load_of_a_short_list_prints_a_short_report(tmp_path, capsys):
     path = tmp_path / "short.json"
     path.write_text('{"N": 100, "group": "gammaN", "reps": [{"word": "S"}]}')
@@ -349,3 +374,68 @@ def test_reader_closing_early_exits_1_with_unbuffered_stdout():
     assert len(head) == 100
     assert "Traceback" not in err
     assert err.startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# the size cap: every case runs against builders that fail if called
+
+
+@pytest.fixture
+def no_builder(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a list or table was built past the cap")
+
+    for name in ("build", "theta0", "theta1", "theta_full"):
+        monkeypatch.setattr(cosets, name, fail)
+    for name in ("m_table", "m_distribution", "enumerate_p1", "psi"):
+        monkeypatch.setattr(fundom.projline, name, fail)
+    for name in ("cusp_tables_text", "cusp_tables_csv"):
+        monkeypatch.setattr(fundom.domain, name, fail)
+
+
+@pytest.mark.parametrize("argv", [
+    "list --N 100000000",
+    "list --N 200 --group gammaN",
+    "render --N 2000 --group gamma1 --format json",
+    "graph --N 1000000",
+    "cusps --N 1000000",
+    "mtable --N 700000",
+    "verify --N 200 --group gammaN",
+    "verify --sweep 2..100000000",
+    # the top level is over the cap only for Gamma(N)
+    "verify --sweep 2..200 --group all",
+    # psi(510511) = 544,880 fits, psi(510510) does not
+    "verify --sweep 510510..510511",
+])
+def test_over_the_cap_exits_2_before_building(argv, no_builder, capsys):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "over the cap" in err
+
+
+@pytest.mark.parametrize("n, group", [(1_000_000, "gamma0"), (200, "gammaN"),
+                                      (10**8, "gamma1")])
+def test_loaded_list_over_the_cap_exits_1(n, group, tmp_path, no_builder,
+                                          capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"N": n, "group": group,
+                                "reps": [{"word": "S"}]}))
+    code, out, err = run(capsys, "verify", "--load", str(path))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "over the cap of 1000000" in err
+
+
+def test_the_cap_admits_gamma_120():
+    assert fundom.cli._index(120, cosets.Group.GAMMA_FULL) == 552_960
+    fundom.cli._check_size(120, list(cosets.Group))
+
+
+def test_index_estimate_is_the_list_length():
+    for n in range(2, 31):
+        for group in cosets.Group:
+            lst = cosets.build(Level(n), group)
+            assert fundom.cli._index(n, group) == len(lst), (n, group)

@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 from fundom import cosets, projline
-from fundom.cayley import build_graph, is_connected
+from fundom.cayley import build_graph, is_connected, spanning_tree
 from fundom.cosets import (
     CosetList,
     Group,
@@ -16,6 +16,7 @@ from fundom.cosets import (
     theta_full,
     verify,
 )
+from fundom.domain import cusp_table, render_svg
 from fundom.projline import big_m, enumerate_p1, normalize
 from fundom.residues import Level, inv_mod
 from fundom.words import (
@@ -552,14 +553,16 @@ def test_verify_and_connectivity_of_theta_full_build_no_word(monkeypatch):
 
 
 def test_mats_and_reps_in_either_order():
-    for n in (2, 5, 12, 18):
-        mats_first = theta_full(Level(n))
-        mats = mats_first.mats
-        reps = mats_first.reps
-        reps_first = theta_full(Level(n))
-        assert reps_first.reps == reps
-        assert reps_first.mats == mats
-        assert mats_first._inner is None  # dropped once the words exist
+    for builder in (theta0, theta1, theta_full):
+        for n in (2, 5, 12, 18):
+            mats_first = builder(Level(n))
+            mats = mats_first.mats
+            reps = mats_first.reps
+            reps_first = builder(Level(n))
+            assert reps_first.reps == reps
+            assert reps_first.mats == mats
+            # the source is dropped once the words exist
+            assert mats_first._source is None
 
 
 def test_duplicate_appended_to_read_words_names_both():
@@ -574,6 +577,59 @@ def test_duplicate_appended_to_read_words_names_both():
     assert [d[:2] for d in report.duplicates] == [(w, twin)]
     key = _key_mod_n(evaluate(w), Group.GAMMA_FULL, n)
     assert report.duplicates[0][2] == key
+
+
+# ---------------------------------------------------------------------------
+# Theta_0(N) and Theta_1(N): matrices by closed forms, words when read
+
+# the levels of the benchmark's gamma0-composite workload
+GAMMA0_COMPOSITE_LEVELS = (120, 125, 126, 128, 131, 132, 140, 144, 150, 156,
+                           160, 168, 180, 210, 240)
+
+
+@pytest.mark.parametrize("builder", [theta0, theta1])
+def test_closed_form_mats_equal_the_folded_words(builder):
+    for n in [*range(2, 61), *GAMMA0_COMPOSITE_LEVELS]:
+        lst = builder(Level(n))
+        mats = lst.mats
+        assert lst._reps is None  # closed forms, no word built
+        assert all(type(m) is tuple for m in mats)
+        assert mats == list(map(fold, builder(Level(n)).reps)), n
+
+
+@pytest.mark.parametrize("builder", [theta0, theta1, theta_full])
+def test_len_builds_nothing(builder):
+    for n in range(2, 31):
+        lst = builder(Level(n))
+        count = len(lst)
+        assert lst._reps is None and lst._mats is None
+        assert count == len(lst.mats) == len(lst.reps), n
+
+
+@pytest.mark.parametrize("builder, n", [(theta0, 240), (theta1, 168)])
+def test_paths_of_theta0_and_theta1_build_no_word(builder, n, monkeypatch):
+    lst = builder(Level(n))
+    calls = []
+    mul, init = GroupWord.__mul__, GroupWord.__init__
+
+    def counting_mul(self, other):
+        calls.append("mul")
+        return mul(self, other)
+
+    def counting_init(self, *args, **kwargs):
+        calls.append("init")
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GroupWord, "__mul__", counting_mul)
+    monkeypatch.setattr(GroupWord, "__init__", counting_init)
+    assert verify(lst).ok
+    graph = build_graph(lst)
+    assert is_connected(graph)
+    assert len(spanning_tree(graph).parent) == len(lst) - 1
+    assert render_svg(lst).count("<path ") == len(lst)
+    assert cusp_table(Level(n)).classes
+    assert calls == []
+    assert lst._reps is None
 
 
 def test_cusp_fields_equal_the_cusps_they_print():

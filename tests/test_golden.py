@@ -8,7 +8,10 @@ of a byte in these outputs fails.  The --y-max digests were taken
 before `render_svg` moved to plain floats.  No vertex lies above
 sqrt(3)/2, so the default y_max of 2.2 clips nothing; y_max 0.9 and 1.0
 move only the canvas and the ends of the edges up to infinity, and
-y_max 0.5 and 0.6 clip the vertical edges and the labels too.
+y_max 0.5 and 0.6 clip the vertical edges and the labels too.  The two
+`render --no-verify --format json` digests were retaken when that output
+gained its `"verified": false` line; `test_cli.py` checks that this line
+is its only difference from the default render JSON.
 """
 
 import hashlib
@@ -63,7 +66,7 @@ GOLDEN = {
     "render --N 6 --no-verify":
         "3421ebaf5a8d9e7ce60ec9be23ea9f3a35d46c97c0c2a9d243d9d8ca10869125",
     "render --N 6 --no-verify --format json":
-        "47a19c04c96f557aca50053a60353a27abd141f134b72de69ffff957525167f3",
+        "8ce72181c54011fccc8bf4bc9959ba1fe7d666da5eafe4c2f271396fd69251da",
     "graph --N 6 --tree-only":
         "7a4a604bb1c643cdc63bdd7268e717b115a844f88a349a2d35a953f074d066c7",
     "list --N 30 --group gamma0 --format json":
@@ -111,7 +114,7 @@ GOLDEN = {
     "render --N 30 --no-verify":
         "dfe34e82985f144843d02cd0f6cd0130bfe1a3a2a04d9f80523509a270641880",
     "render --N 30 --no-verify --format json":
-        "01cace34a0be8c2645cf9732c2d3536ef64ae78c883d26ec38158f7022bf3304",
+        "a6cd5d3ae6ab916d925552ee8fa1cc0312c592e6627216844acdc58a824be700",
     "graph --N 30 --tree-only":
         "050368a62234044f20ea81d2e557b2fd909bf62cc78cfdf4dfffc869f8866d82",
     "list --N 64 --group gamma0 --format json":
