@@ -14,14 +14,11 @@ from .projline import (
 )
 from .words import (
     Cusp,
-    GroupWord,
     Mat2,
     cusp,
     evaluate,
-    make_word,
     mobius_cusp,
     parse_word,
-    st,
 )
 from .cosets import (
     CosetList,

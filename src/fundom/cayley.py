@@ -18,7 +18,6 @@ from __future__ import annotations
 from functools import cached_property
 
 from .cosets import CosetList
-from .words import GroupWord
 
 
 class DuplicateVertex(ValueError):
@@ -39,9 +38,9 @@ class CayleyGraph:
         self.s_nbr, self.t_nbr, self.u_nbr = s_nbr, t_nbr, u_nbr
 
     @property
-    def words(self) -> list[GroupWord]:
+    def words(self) -> list[str]:
         """The word of each vertex, read from the list only when asked:
-        a built list makes its words on first read."""
+        a built list formats its words on first read."""
         return self.coset_list.reps
 
     def __len__(self):
@@ -62,9 +61,6 @@ class SpanningTree:
     def __init__(self, root: int, parent: dict[int, int]):
         self.root = root
         self.parent = parent  # vertex -> parent vertex, root excluded
-
-    def edges(self):
-        return [(p, v) for v, p in self.parent.items()]
 
     def depth(self) -> int:
         """Longest root path; iterative, so any height works.
@@ -191,16 +187,17 @@ def spanning_tree(g: CayleyGraph) -> SpanningTree:
 
 
 def to_dot(g: CayleyGraph, tree: SpanningTree, tree_only: bool = False) -> str:
-    """DOT rendering with word labels; tree edges drawn bold."""
+    """DOT rendering, each vertex labelled with its word string; tree
+    edges drawn bold."""
     lines = ["graph cayley {"]
     for i, w in enumerate(g.words):
         lines.append(f'  v{i} [label="{w}"];')
-    tree_edges = {frozenset(e) for e in tree.edges()}
+    parent = tree.parent.get
     for i in range(len(g)):
         for j in g.adj[i]:
             if j <= i:
                 continue
-            in_tree = frozenset((i, j)) in tree_edges
+            in_tree = parent(j) == i or parent(i) == j
             if tree_only and not in_tree:
                 continue
             style = ' [style=bold]' if in_tree and not tree_only else ""

@@ -6,13 +6,15 @@ output: an SVG render starts with `<!-- UNVERIFIED LIST -->`, a DOT
 graph with `// UNVERIFIED LIST` and a text list with `# UNVERIFIED
 LIST`, and list and render JSON carry "verified": false.
 
-No command builds more than MAX_COSETS cosets.  Each list's size is
-estimated from the group's index at its level before anything is built
-(psi(N) for cusps and mtable), and a whole sweep is checked before its
-first level.
+No command builds more than cosets.MAX_COSETS cosets.  Each list's size
+is estimated from the group's index at its level before anything is
+built (psi(N) for cusps and mtable), and a whole sweep is checked before
+its first level.  A --load file may hold at most MAX_COSETS words, each
+of at most cosets.MAX_WORD_CHARS characters: the file is decoded whole,
+then the words are counted before any is parsed.
 
 Exit codes: 0 ok; 1 failed verification, unreadable/malformed input, a
---load file whose list is over the cap, or output that cannot be
+--load file whose list or word is over its cap, or output that cannot be
 written (such as a pipe whose reader closed early); 2 usage error,
 including a --N or --sweep over the cap, an empty sweep, --sweep
 together with --N or --load, a --N that disagrees with the loaded file,
@@ -39,11 +41,6 @@ class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-# The most cosets one command may build.  Gamma(120), 552,960 cosets
-# (`verify` peaks near 370 MB), fits.
-MAX_COSETS = 10**6
 
 
 def _level(n: int) -> Level:
@@ -75,14 +72,15 @@ def _index(n: int, group: Group) -> int:
 
 def _check_size(n: int, groups, code: int = 2):
     """Refuse level n when some group's list there is over MAX_COSETS."""
+    cap = cosets.MAX_COSETS
     for group in groups:
         # every index is at least N, so a larger N is not factored
-        size = n if n > MAX_COSETS else _index(n, group)
-        if size > MAX_COSETS:
-            bound = "at least " if n > MAX_COSETS else ""
+        size = n if n > cap else _index(n, group)
+        if size > cap:
+            bound = "at least " if n > cap else ""
             raise CliError(
                 code, f"{group.value} N={n} has {bound}{size} cosets, "
-                f"over the cap of {MAX_COSETS}",
+                f"over the cap of {cap}",
             )
 
 
@@ -175,10 +173,8 @@ def _load(args) -> CosetList:
     try:
         with open(args.load) as fh:
             lst = CosetList.from_json(fh.read())
-    except (OSError, ValueError, KeyError, TypeError, AttributeError,
-            RecursionError) as exc:
-        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise CliError(1, f"cannot load {args.load}: {detail}") from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        raise CliError(1, f"cannot load {args.load}: {exc}") from exc
     if args.N is not None and args.N != lst.level.n:
         raise CliError(
             2, f"--N {args.N} but {args.load} holds N={lst.level.n}"

@@ -10,10 +10,12 @@ P^1(Z/NZ):
            x = (k^-1 + j)~, for each unit class k in [-N1, -2];
   Theta(N): T^l * Theta_1 for l in the symmetric window.
 
-The builders read the level's M table once and build no word: while
-`reps` is unread, a list's matrices come from closed forms (S T^i is
+A list's `reps` are its words as canonical strings (see `words`).  The
+builders read the level's M table once and format no word: while `reps`
+is unread, a list's matrices come from closed forms (S T^i is
 (0, -1, 1, i), S T^j S T^m is (-1, -m, j, jm - 1), and Theta(N) applies
-T^l to Theta_1's by arithmetic), and the words are built on first read.
+T^l to Theta_1's by arithmetic), and each word is formatted once, by one
+f-string, on first read.
 
 Every list can be verified directly: completeness and distinctness are
 counted against the actual coset spaces, never read off index formulas.
@@ -30,20 +32,23 @@ from math import gcd
 
 from . import projline
 from .residues import Level, inv_mod
-from .words import (
-    GroupWord,
-    cusp_fields,
-    fold,
-    make_word,
-    parse_word,
-    st,
-)
+from .words import cusp_fields, fold, parse_word, t_power
 
 
 class Group(Enum):
     GAMMA0 = "gamma0"
     GAMMA1 = "gamma1"
     GAMMA_FULL = "gammaN"
+
+
+# The most cosets a list may have: the CLI builds no larger list, and
+# `CosetList.from_json` reads no more words.  Gamma(120), 552,960
+# cosets (`verify` peaks near 370 MB), fits.
+MAX_COSETS = 10**6
+
+# The longest word a loaded list may hold; a built list's words under
+# MAX_COSETS have at most 18 characters.
+MAX_WORD_CHARS = 1000
 
 
 class VerificationFailed(Exception):
@@ -71,21 +76,22 @@ def dumps_with_records(doc: dict, key: str, record: dict, rows) -> str:
 
 
 class CosetList:
-    """A representative list.  A list from the builders starts from a
-    `_Source`: its matrices come from closed forms while `reps` is
-    unread, and its words are built on first read."""
+    """A representative list, its words held as canonical strings.  A
+    list from the builders starts from a `_Source`: its matrices come
+    from closed forms while `reps` is unread, and its words are
+    formatted on first read."""
 
     __slots__ = ("level", "group", "verified", "_reps", "_mats", "_source")
 
-    def __init__(self, level: Level, group: Group, reps: list[GroupWord]):
+    def __init__(self, level: Level, group: Group, reps: list[str]):
         self.level, self.group, self._reps = level, group, reps
         self.verified = False
         self._mats: list[tuple] | None = None
         self._source: _Source | None = None
 
     @property
-    def reps(self) -> list[GroupWord]:
-        """The words; a built list makes them on first read."""
+    def reps(self) -> list[str]:
+        """The words; a built list formats them on first read."""
         if self._reps is None:
             self._reps = self._source.words()
             self._source = None
@@ -111,7 +117,7 @@ class CosetList:
     def to_json(self) -> str:
         # mats first: a built list still has them from closed forms
         rows = (
-            (json_quote(str(w)), a, b, c, d, json_quote(cusp_fields(a, c)[0]))
+            (json_quote(w), a, b, c, d, json_quote(cusp_fields(a, c)[0]))
             for (a, b, c, d), w in zip(self.mats, self.reps)
         )
         doc = {
@@ -129,12 +135,41 @@ class CosetList:
 
     @classmethod
     def from_json(cls, text: str) -> "CosetList":
+        """The list of a document as `to_json` writes it, each word read
+        by `parse_word`.  Raises ValueError, naming the field at fault,
+        on any other shape, on more than MAX_COSETS words and on a word
+        longer than MAX_WORD_CHARS.  The whole text is decoded first;
+        the word count is checked before any word is parsed."""
         doc = json.loads(text)
-        return cls(
-            level=Level(doc["N"]),
-            group=Group(doc["group"]),
-            reps=[parse_word(r["word"]) for r in doc["reps"]],
+        if type(doc) is not dict:
+            raise ValueError("the document is not a JSON object")
+        for key in ("N", "group", "reps"):
+            if key not in doc:
+                raise ValueError(f'no field "{key}"')
+        records = doc["reps"]
+        if type(records) is not list:
+            raise ValueError('"reps" is not a list')
+        if len(records) > MAX_COSETS:
+            raise ValueError(
+                f'"reps" holds {len(records)} words, '
+                f"over the cap of {MAX_COSETS}"
+            )
+        level, group = Level(doc["N"]), Group(doc["group"])
+        words = [_checked_word(i, record) for i, record in enumerate(records)]
+        return cls(level, group, list(map(parse_word, words)))
+
+
+def _checked_word(i: int, record) -> str:
+    """The word of the i-th record of a loaded list, before parsing."""
+    word = record.get("word") if type(record) is dict else None
+    if type(word) is not str:
+        raise ValueError(f'reps[{i}] has no string "word"')
+    if len(word) > MAX_WORD_CHARS:
+        raise ValueError(
+            f"reps[{i}] has a word of {len(word)} characters, "
+            f"over the limit of {MAX_WORD_CHARS}"
         )
+    return word
 
 
 class _Source:
@@ -166,20 +201,11 @@ def _theta0_size(level: Level, entries: dict) -> int:
     return level.n + sum(entries.values()) + len(entries)
 
 
-def _st_words(level: Level, entries: dict) -> dict[int, GroupWord]:
-    """The words S T^i for i in the window and for 0 <= i <= max M_j,
-    keyed by i: every S T^i the Theta builders use, built once."""
-    top = max(level.n2, max(entries.values(), default=0))
-    return {i: st(i) for i in range(-level.n1, top + 1)}
-
-
-def _theta0_words(
-    level: Level, entries: dict, sts: dict[int, GroupWord]
-) -> list[GroupWord]:
-    reps = [sts[i] for i in level.residues()]
+def _theta0_words(level: Level, entries: dict) -> list[str]:
+    reps = [f"S{t_power(i)}" for i in level.residues()]
     for j, mj in entries.items():  # nonunit j
-        sj = sts[j]
-        reps += [sj * sts[m] for m in range(mj + 1)]
+        tj = t_power(j)
+        reps += [f"S{tj}S{t_power(m)}" for m in range(mj + 1)]
     return reps
 
 
@@ -195,22 +221,21 @@ def theta0(level: Level) -> CosetList:
     entries = projline.m_table(level).entries
     return _built(
         level, Group.GAMMA0, _theta0_size(level, entries),
-        lambda: _theta0_words(level, entries, _st_words(level, entries)),
+        lambda: _theta0_words(level, entries),
         lambda: _theta0_mats(level, entries),
     )
 
 
-def _theta1_words(level: Level, entries: dict, ks: list) -> list[GroupWord]:
-    sts = _st_words(level, entries)
-    reps = _theta0_words(level, entries, sts)
+def _theta1_words(level: Level, entries: dict, ks: list) -> list[str]:
+    reps = _theta0_words(level, entries)
     window = level.residues()
     for k in ks:
         kinv = inv_mod(k, level)
-        sk = sts[k]
-        reps += [sk * sts[i] for i in window]
+        tk = t_power(k)
+        reps += [f"S{tk}S{t_power(i)}" for i in window]
         for j, mj in entries.items():
-            skx = sk * sts[level.reduce(kinv + j)]
-            reps += [skx * sts[m] for m in range(mj + 1)]
+            tx = t_power(level.reduce(kinv + j))
+            reps += [f"S{tk}S{tx}S{t_power(m)}" for m in range(mj + 1)]
     return reps
 
 
@@ -245,9 +270,9 @@ def theta_full(level: Level) -> CosetList:
     shifts = level.residues()
 
     def words():
-        ts = [make_word(("T", ell)) for ell in shifts]
+        # every Theta_1 word starts with S, so no T powers merge
         inner_reps = inner.reps
-        return [t * w for t in ts for w in inner_reps]
+        return [t + w for t in map(t_power, shifts) for w in inner_reps]
 
     def mats():
         # T^l (a, b, c, d) = (a + lc, b + ld, c, d) keeps the determinant
@@ -331,20 +356,25 @@ def _expected_count(level: Level, group: Group) -> int:
     return half if group is Group.GAMMA1 else n * half
 
 
-MISSING_NAMED = 20  # a report names at most this many missing cosets
+# a report names at most this many missing cosets, and as many duplicates
+MISSING_NAMED = 20
 
 
 class VerificationReport:
-    """`missing` holds the smallest missing keys, at most MISSING_NAMED
-    of them, and is filled only when the list has no duplicates."""
+    """`duplicates` holds the first duplicates in list order, and
+    `missing` the smallest missing keys, at most MISSING_NAMED of each;
+    `missing` is filled only when the list has no duplicates, and
+    `duplicate_count` counts every duplicate."""
 
-    __slots__ = ("level", "group", "count", "expected", "duplicates", "missing")
+    __slots__ = ("level", "group", "count", "expected", "duplicates",
+                 "missing", "duplicate_count")
 
     def __init__(self, level: Level, group: Group, count: int, expected: int,
-                 duplicates: list, missing: list):
+                 duplicates: list, missing: list, duplicate_count: int):
         self.level, self.group, self.count = level, group, count
         self.expected, self.duplicates, self.missing = (
             expected, duplicates, missing)
+        self.duplicate_count = duplicate_count
 
     @property
     def ok(self) -> bool:
@@ -363,6 +393,8 @@ class VerificationReport:
         )
         for w1, w2, key in self.duplicates:
             msg += f"\n  duplicate coset {key}: {w1} vs {w2}"
+        if self.duplicate_count > len(self.duplicates):
+            msg += f"\n  {self.duplicate_count} duplicates in all"
         for key in self.missing:
             msg += f"\n  missing coset {key}"
         if self.missing_count > len(self.missing):
@@ -384,10 +416,12 @@ def verify(coset_list: CosetList) -> VerificationReport:
         # only a failing list reads its words, to name the duplicates
         first = {}
         for w, key in zip(coset_list.reps, keys):
-            if key in first:
-                duplicates.append((first[key], w, key))
-            else:
+            if key not in first:
                 first[key] = w
+                continue
+            duplicates.append((first[key], w, key))
+            if len(duplicates) == MISSING_NAMED:
+                break
     expected = _expected_count(level, group)
     missing = []
     if len(seen) != expected and not duplicates:
@@ -398,7 +432,8 @@ def verify(coset_list: CosetList) -> VerificationReport:
             MISSING_NAMED,
         ))
     report = VerificationReport(
-        level, group, len(coset_list), expected, duplicates, missing
+        level, group, len(coset_list), expected, duplicates, missing,
+        len(keys) - len(seen),
     )
     if not report.ok:
         raise VerificationFailed(report)

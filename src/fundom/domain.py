@@ -11,13 +11,13 @@ SVG output turns them into floats once per triangle.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import cycle, repeat
 from json.encoder import encode_basestring_ascii as json_quote
 from math import gcd
 
 from . import cosets
 from .cosets import CosetList, dumps_with_records
-from .projline import m_table
 from .residues import Level
 from .words import Cusp, cusp, cusp_fields
 
@@ -113,8 +113,12 @@ def cusp_table(level: Level) -> CuspClassTable:
     Classes are ordered by descending width, infinity and 0 placed per
     the natural d | N order of their representatives.
     """
+    return _cusp_classes(cosets.theta0(level).mats, level)
+
+
+def _cusp_classes(mats, level: Level) -> CuspClassTable:
     # few distinct (a, c): every S T^j S T^m has a = -1 and c = j
-    pairs = dict.fromkeys((a, c) for a, _, c, _ in cosets.theta0(level).mats)
+    pairs = dict.fromkeys((a, c) for a, _, c, _ in mats)
     groups: dict[Cusp, list[Cusp]] = {}
     for c in dict.fromkeys(cusp(*pair) for pair in pairs):
         groups.setdefault(cusp_class_rep(c, level), []).append(c)
@@ -240,7 +244,7 @@ def render_json(coset_list: CosetList, mark_unverified: bool = False) -> str:
 
     def row(m, w):
         text, p, q = cusp_fields(m[0], m[2])
-        return (json_quote(str(w)), json_quote(text), *m, *m, p, q)
+        return (json_quote(w), json_quote(text), *m, *m, p, q)
 
     doc = {
         "N": coset_list.level.n,
@@ -270,13 +274,17 @@ def render_json(coset_list: CosetList, mark_unverified: bool = False) -> str:
 
 def _cusp_rows(level: Level):
     """Rows (j, -1/j, M_j + 1, class rep) over the nonunits j, and the
-    class table that classified each cusp -1/j (oo for j = 0)."""
-    table = cusp_table(level)
+    class table that classified each cusp -1/j (oo for j = 0), both
+    read off one Theta_0(N): its rows with a = -1 are its M_j + 1 words
+    S T^j S T^m = (-1, -m, j, jm - 1) for each j, in the M table's order.
+    """
+    mats = cosets.theta0(level).mats
+    table = _cusp_classes(mats, level)
     rep_of = {c: cl.rep for cl in table.classes for c in cl.members}
     rows = []
-    for j, mj in m_table(level).entries.items():
+    for j, mult in Counter(c for a, _, c, _ in mats if a == -1).items():
         c = cusp(-1, j)
-        rows.append((j, c, mj + 1, rep_of[c]))
+        rows.append((j, c, mult, rep_of[c]))
     return rows, table
 
 

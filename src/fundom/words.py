@@ -1,16 +1,18 @@
 """Words in the generators S, T of SL2(Z), their matrices, and cusps.
 
-A word is a signed product of tokens S and T^e.  Evaluation lands in
-SL2(Z) with arbitrary-precision entries; silent overflow is impossible.
-The serialization format is e.g. "ST^-3ST^3S", with "I" for the empty
-word and an optional leading "-".
+A word is a string: a signed product of tokens S and T^e such as
+"ST^-3ST^3S", with "I" for the empty word and an optional leading "-".
+In its canonical form, which the builders write and `parse_word`
+returns, adjacent T powers are merged, T^0 is dropped and T^1 is
+written "T".  Evaluation lands in SL2(Z) with arbitrary-precision
+entries; silent overflow is impossible.
 
-`fold` multiplies a word out on four plain ints and returns the plain
-tuple (a, b, c, d), its determinant checked once; `CosetList.mats`
-holds these, or a built list's closed forms.  A `Mat2` is a tuple
-(a, b, c, d) that checks its determinant when it is built, for
-matrices that come in from outside: `evaluate` returns the word's
-matrix as one `Mat2`.
+`fold` multiplies a word string out on four plain ints and returns
+the plain tuple (a, b, c, d), its determinant checked once;
+`CosetList.mats` holds these, or a built list's closed forms.  A
+`Mat2` is a tuple (a, b, c, d) that checks its determinant when it is
+built, for matrices that come in from outside: `evaluate` returns the
+word's matrix as one `Mat2`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .residues import Frozen
 
 # globals are found faster than attributes of a class
 _tuple_new = tuple.__new__
-_object_new = object.__new__
 _object_setattr = object.__setattr__
 
 
@@ -79,115 +80,68 @@ S_MAT = Mat2(0, -1, 1, 0)
 T_MAT = Mat2(1, 1, 0, 1)
 
 
-# tokens are ("S",) or ("T", e) with e != 0
-
-
-def _merge(tokens):
-    out = []
-    for tok in tokens:
-        if tok[0] == "T":
-            if tok[1] == 0:
-                continue
-            if out and out[-1][0] == "T":
-                e = out[-1][1] + tok[1]
-                out.pop()
-                if e != 0:
-                    out.append(("T", e))
-                continue
-        out.append(tok)
-    return tuple(out)
-
-
-class GroupWord(Frozen):
-    """A signed word in S and T^e; its tokens are merged when built."""
-
-    __slots__ = ("tokens", "sign")
-
-    def __init__(self, tokens, sign: int = 1):
-        if sign not in (1, -1):
-            raise ValueError("sign must be +-1")
-        _object_setattr(self, "tokens", _merge(tokens))
-        _object_setattr(self, "sign", sign)
-
-    def __mul__(self, other: "GroupWord") -> "GroupWord":
-        # Both factors are merged, so only the seam can hold a T^e T^f
-        # pair; the tokens around it are S, so nothing merges further.
-        left, right = self.tokens, other.tokens
-        if left and right and left[-1][0] == "T" == right[0][0]:
-            e = left[-1][1] + right[0][1]
-            seam = (("T", e),) if e else ()
-            tokens = left[:-1] + seam + right[1:]
-        else:
-            tokens = left + right
-        word = _object_new(GroupWord)
-        _object_setattr(word, "tokens", tokens)
-        _object_setattr(word, "sign", self.sign * other.sign)
-        return word
-
-    def __str__(self):
-        body = "".join(
-            "S" if t[0] == "S" else ("T" if t[1] == 1 else f"T^{t[1]}")
-            for t in self.tokens
-        )
-        if not body:
-            body = "I"
-        return ("-" if self.sign < 0 else "") + body
-
-
-def make_word(*tokens, sign: int = 1) -> GroupWord:
-    return GroupWord(tokens, sign)
-
-
-def st(i: int) -> GroupWord:
-    """The word S T^i."""
-    return make_word(("S",), ("T", i))
+def t_power(e: int) -> str:
+    """T^e as a word writes it: "" for e = 0, "T" for e = 1."""
+    return "" if e == 0 else "T" if e == 1 else f"T^{e}"
 
 
 # [0-9], not \d: \d matches every Unicode digit, and int() reads them
 _WORD_RE = re.compile(r"(?:S|T(?:\^-?[0-9]+)?)*")
-_TOKEN_RE = re.compile(r"(S)|T(?:\^(-?[0-9]+))?")
 
 
-def parse_word(s: str) -> GroupWord:
-    """Inverse of str(); accepts e.g. 'ST^-3ST^3S', 'I', '-T^2'."""
+def _runs(s: str) -> tuple[int, list[str]]:
+    """The sign of a word string and its runs of T tokens, split at
+    each S; raises ValueError, naming the position, on a bad string."""
     text = s.strip()
     sign = 1
     if text.startswith("-"):
         sign = -1
         text = text[1:]
     if text == "I":
-        return make_word(sign=sign)
+        return sign, [""]
     # the longest run of whole tokens ends where a token-by-token scan
     # would stop
     pos = _WORD_RE.match(text).end()
     if pos != len(text):
         raise ValueError(f"bad word string {s!r} at position {pos}")
-    tokens = [
-        ("S",) if is_s else ("T", int(e) if e else 1)
-        for is_s, e in _TOKEN_RE.findall(text)
-    ]
-    return GroupWord(tokens, sign)
+    return sign, text.split("S")
 
 
-def fold(w: GroupWord) -> tuple:
-    """The matrix of a word, product of generators times the sign, as
-    the plain tuple (a, b, c, d); raises ValueError unless ad - bc = 1."""
-    a, b, c, d = 1, 0, 0, 1
-    for tok in w.tokens:
-        if tok[0] == "S":
-            a, b, c, d = b, -a, d, -c
-        else:
-            b, d = b + tok[1] * a, d + tok[1] * c
+def _power(run: str) -> int:
+    """The exponent of a run of T tokens: "", "T", "T^-3", or unmerged
+    tokens such as "T^2TT^0"."""
+    return sum(map(int, run.replace("T^", " ").replace("T", " 1").split()))
+
+
+def parse_word(s: str) -> str:
+    """The canonical string of a word such as 'ST^-3ST^3S', 'I' or
+    '-T^2': T powers merged, T^0 dropped, T^1 written T, "I" for the
+    empty word and a leading "-" kept."""
+    sign, runs = _runs(s)
+    body = "S".join([t_power(_power(run)) for run in runs]) or "I"
+    return "-" + body if sign < 0 else body
+
+
+def fold(s: str) -> tuple:
+    """The matrix of a word string, product of generators times the
+    sign, as the plain tuple (a, b, c, d); raises ValueError on a
+    string `parse_word` refuses, or unless ad - bc = 1."""
+    sign, runs = _runs(s)
+    a, b, c, d = 1, _power(runs[0]), 0, 1
+    for run in runs[1:]:
+        # times S, then times T^e
+        e = _power(run)
+        a, b, c, d = b, e * b - a, d, e * d - c
     if a * d - b * c != 1:
         raise ValueError(f"determinant is not 1: [[{a},{b}],[{c},{d}]]")
-    if w.sign < 0:
+    if sign < 0:
         return (-a, -b, -c, -d)
     return (a, b, c, d)
 
 
-def evaluate(w: GroupWord) -> Mat2:
-    """The matrix of a word as one checked `Mat2`."""
-    return Mat2(*fold(w))
+def evaluate(s: str) -> Mat2:
+    """The matrix of a word string as one checked `Mat2`."""
+    return Mat2(*fold(s))
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,106 @@ These deliberately avoid the library's fast paths: cusp equivalence is
 decided through the double-coset structure (translate by T^k and
 compare projective keys) and by bounded matrix search, widths through
 the unipotent stabilizer, and projective data through raw enumeration.
-Group membership is read off the entries mod N directly.
+Group membership is read off the entries mod N directly.  Words are
+checked against `GroupWord`, a token-tuple word algebra that merges
+T powers as it multiplies.
 """
 
+import re
 from math import gcd
 
 from fundom.cosets import Group, _coset_keys
-from fundom.residues import Level, inv_mod
-from fundom.words import (
-    INFINITY, Cusp, GroupWord, Mat2, cusp, make_word, mobius_cusp, st,
-)
+from fundom.residues import Frozen, Level, inv_mod
+from fundom.words import INFINITY, Cusp, Mat2, cusp, mobius_cusp
+
+
+# ---------------------------------------------------------------------------
+# the reference word algebra; tokens are ("S",) or ("T", e) with e != 0
+
+
+def _merge(tokens):
+    out = []
+    for tok in tokens:
+        if tok[0] == "T":
+            if tok[1] == 0:
+                continue
+            if out and out[-1][0] == "T":
+                e = out[-1][1] + tok[1]
+                out.pop()
+                if e != 0:
+                    out.append(("T", e))
+                continue
+        out.append(tok)
+    return tuple(out)
+
+
+class GroupWord(Frozen):
+    """A signed word in S and T^e; its tokens are merged when built,
+    and its str() is the library's canonical word string."""
+
+    __slots__ = ("tokens", "sign")
+
+    def __init__(self, tokens, sign: int = 1):
+        if sign not in (1, -1):
+            raise ValueError("sign must be +-1")
+        object.__setattr__(self, "tokens", _merge(tokens))
+        object.__setattr__(self, "sign", sign)
+
+    def __mul__(self, other: "GroupWord") -> "GroupWord":
+        # Both factors are merged, so only the seam can hold a T^e T^f
+        # pair; the tokens around it are S, so nothing merges further.
+        left, right = self.tokens, other.tokens
+        if left and right and left[-1][0] == "T" == right[0][0]:
+            e = left[-1][1] + right[0][1]
+            seam = (("T", e),) if e else ()
+            tokens = left[:-1] + seam + right[1:]
+        else:
+            tokens = left + right
+        word = object.__new__(GroupWord)
+        object.__setattr__(word, "tokens", tokens)
+        object.__setattr__(word, "sign", self.sign * other.sign)
+        return word
+
+    def __str__(self):
+        body = "".join(
+            "S" if t[0] == "S" else ("T" if t[1] == 1 else f"T^{t[1]}")
+            for t in self.tokens
+        )
+        if not body:
+            body = "I"
+        return ("-" if self.sign < 0 else "") + body
+
+
+def make_word(*tokens, sign: int = 1) -> GroupWord:
+    return GroupWord(tokens, sign)
+
+
+def word_identity() -> GroupWord:
+    return make_word()
+
+
+def st(i: int) -> GroupWord:
+    """The word S T^i."""
+    return make_word(("S",), ("T", i))
+
+
+_TOKEN_RE = re.compile(r"(S)|T(?:\^(-?[0-9]+))?")
+
+
+def word_of(s: str) -> GroupWord:
+    """The reference word of a well-formed word string."""
+    text = s.strip()
+    sign = -1 if text.startswith("-") else 1
+    tokens = [
+        ("S",) if is_s else ("T", int(e) if e else 1)
+        for is_s, e in _TOKEN_RE.findall(text)
+    ]
+    return GroupWord(tokens, sign)
+
+
+def tokens_of(s: str) -> tuple:
+    """The merged tokens of a word string."""
+    return word_of(s).tokens
 
 
 def cusps_of(coset_list) -> list[Cusp]:
@@ -26,11 +116,7 @@ def gcd_with_level(a: int, level: Level) -> int:
     return gcd(a, level.n)
 
 
-def word_identity() -> GroupWord:
-    return make_word()
-
-
-def gamma1_quotient_reps(level: Level) -> list[GroupWord]:
+def gamma1_quotient_reps(level: Level) -> list[str]:
     """Words I and S T^k S T^{k^-1} S representing the quotient of
     Gamma_0(N) by (+-I) Gamma_1(N), for the unit classes k in [-N1, -2]
     mod +-1 other than the class of 1."""
@@ -38,7 +124,7 @@ def gamma1_quotient_reps(level: Level) -> list[GroupWord]:
     for k in range(-level.n1, -1):
         if gcd(k, level.n) == 1:
             reps.append(st(k) * st(inv_mod(k, level)) * make_word(("S",)))
-    return reps
+    return list(map(str, reps))
 
 
 def row_map(m: Mat2, level: Level) -> tuple[int, int]:

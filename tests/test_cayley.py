@@ -17,20 +17,14 @@ from fundom.cosets import (
     theta_full,
 )
 from fundom.residues import Level
-from fundom.words import (
-    S_MAT,
-    T_MAT,
-    Mat2,
-    evaluate,
-    make_word,
-    st,
-)
+from fundom.words import S_MAT, T_MAT, Mat2, evaluate
 
-from oracles import gamma1_quotient_reps, psl_normalize
+from oracles import gamma1_quotient_reps, make_word, psl_normalize, st
 
 
 def list_of(words, n=6, group=Group.GAMMA0):
-    return CosetList(Level(n), group, list(words))
+    """A list of word strings, or of reference words as their strings."""
+    return CosetList(Level(n), group, list(map(str, words)))
 
 
 def test_single_edge():
@@ -83,7 +77,7 @@ def test_spanning_tree_theta0_6():
     tree = spanning_tree(g)
     assert str(g.words[tree.root]) == "S"
     assert len(tree.parent) == 11  # 12 vertices, 11 tree edges
-    assert len(tree.edges()) == 11
+    assert len({frozenset(e) for e in tree.parent.items()}) == 11
 
 
 def test_default_root_is_s_else_vertex_0():
@@ -229,13 +223,13 @@ def test_is_connected_agrees_with_bfs(lst):
 
 def test_spanning_tree_of_empty_graph():
     tree = spanning_tree(build_graph(list_of([])))
-    assert tree.edges() == []
+    assert tree.parent == {}
     assert tree.depth() == 0
 
 
 def test_one_checked_matrix_per_word(monkeypatch):
     lst = build(Level(12), Group.GAMMA1)
-    words = lst.reps + [make_word(("S",), sign=-1), make_word()]
+    words = lst.reps + [str(make_word(("S",), sign=-1)), str(make_word())]
     built = []
     check = Mat2.__new__
 
@@ -296,6 +290,28 @@ def test_to_dot():
     assert "[style=bold]" in dot
     tree_only = to_dot(g, tree, tree_only=True)
     assert tree_only.count(" -- ") == 11
+
+
+@pytest.mark.parametrize(
+    "lst",
+    [theta0(Level(30)), theta1(Level(12)), build(Level(6), Group.GAMMA_FULL),
+     list_of(theta0(Level(12)).reps[::2], n=12)],
+    ids=["theta0-30", "theta1-12", "thetaN-6", "half-theta0-12"],
+)
+def test_dot_draws_exactly_the_tree_edges_bold(lst):
+    g = build_graph(lst)
+    tree = spanning_tree(g)
+    edges = {frozenset(e) for e in tree.parent.items()}
+    drawn = {}
+    for line in to_dot(g, tree).splitlines():
+        if " -- " in line:
+            i, _, rest = line.strip().partition(" -- ")
+            j = rest.split(" ")[0].rstrip(";")
+            drawn[frozenset((int(i[1:]), int(j[1:])))] = "bold" in rest
+    assert {e for e, bold in drawn.items() if bold} == edges
+    assert len(drawn) == sum(map(len, g.adj)) // 2
+    tree_only = to_dot(g, tree, tree_only=True)
+    assert tree_only.count(" -- ") == len(edges)
 
 
 def test_graph_words_are_the_lists_words_read_when_needed():

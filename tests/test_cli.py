@@ -178,6 +178,83 @@ def test_verify_load_malformed_fails_closed(tmp_path, capsys, text):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        (json.dumps({**GOOD_DOC, "reps": [{"word": 5}]}),
+         'reps[0] has no string "word"'),
+        (json.dumps({**GOOD_DOC, "reps": ["S"]}),
+         'reps[0] has no string "word"'),
+        ("NaN", "the document is not a JSON object"),
+        (json.dumps({**GOOD_DOC, "reps": None}), '"reps" is not a list'),
+        (json.dumps({**GOOD_DOC, "reps": {}}), '"reps" is not a list'),
+    ],
+    ids=["word-is-an-int", "rep-is-a-string", "document-is-nan",
+         "reps-is-null", "reps-is-an-object"],
+)
+def test_load_names_the_field_of_a_bad_shape(tmp_path, capsys, text,
+                                             fragment):
+    path = tmp_path / "list.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", "--load", str(path))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert fragment in err
+    for internal in ("'int'", "'str'", "'float'", "NoneType", "subscriptable",
+                     "attribute", "indices", "iterable", "Traceback"):
+        assert internal not in err
+
+
+def _fail_parse(monkeypatch):
+    def fail(s):
+        raise AssertionError("a word was parsed")
+
+    monkeypatch.setattr(cosets, "parse_word", fail)
+
+
+def test_load_refuses_more_words_than_the_cap_before_parsing(
+    tmp_path, capsys, monkeypatch
+):
+    # Gamma_0(6) has 12 cosets, so a cap of 12 admits its level
+    monkeypatch.setattr(cosets, "MAX_COSETS", 12)
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps({**GOOD_DOC, "reps": [{"word": "S"}] * 13}))
+    _fail_parse(monkeypatch)
+    code, out, err = run(capsys, "verify", "--load", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: cannot load {path}: \"reps\" holds 13 words, "
+                   "over the cap of 12\n")
+    # twelve words fit: they are read, and fail verification with a report
+    monkeypatch.undo()
+    monkeypatch.setattr(cosets, "MAX_COSETS", 12)
+    path.write_text(json.dumps({**GOOD_DOC, "reps": [{"word": "S"}] * 12}))
+    code, out, err = run(capsys, "verify", "--load", str(path))
+    assert code == 1 and err == ""
+    assert out.startswith("gamma0 N=6: FAIL, 12 reps, 12 cosets")
+
+
+def test_load_refuses_a_word_over_the_length_limit(tmp_path, capsys,
+                                                   monkeypatch):
+    assert cosets.MAX_WORD_CHARS == 1000
+    path = tmp_path / "list.json"
+    long_word = "ST^" + "9" * 998
+    path.write_text(json.dumps(
+        {**GOOD_DOC, "reps": [{"word": "S"}, {"word": long_word}]}))
+    _fail_parse(monkeypatch)
+    code, out, err = run(capsys, "verify", "--load", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: cannot load {path}: reps[1] has a word of 1001 "
+                   "characters, over the limit of 1000\n")
+    monkeypatch.undo()
+    # a word of exactly 1000 characters is read
+    doc = {**GOOD_DOC, "reps": [{"word": "ST^" + "9" * 997}]}
+    lst = cosets.CosetList.from_json(json.dumps(doc))
+    assert lst.reps == ["ST^" + "9" * 997]
+
+
 def test_mtable(capsys):
     code, out, _ = run(capsys, "mtable", "--N", "6")
     assert code == 0

@@ -20,18 +20,16 @@ from fundom.domain import cusp_table, render_svg
 from fundom.projline import big_m, enumerate_p1, normalize
 from fundom.residues import Level, inv_mod
 from fundom.words import (
-    GroupWord,
     cusp,
     cusp_fields,
     evaluate,
     fold,
-    make_word,
     mobius_cusp,
     parse_word,
-    st,
 )
 
 from oracles import (
+    GroupWord,
     brute_p1_classes,
     coset_key,
     gamma1_quotient_reps,
@@ -39,9 +37,13 @@ from oracles import (
     in_gammaN,
     in_pm_gamma1,
     list_json_doc,
+    make_word,
     row_map,
+    st,
     streamed_keys,
+    tokens_of,
     unit_rows,
+    word_of,
 )
 
 
@@ -61,7 +63,7 @@ def test_theta0_n6():
 def test_theta0_n30_counts():
     lst = theta0(Level(30))
     assert len(lst) == 72
-    two_s = [w for w in lst.reps if sum(t == ("S",) for t in w.tokens) == 2]
+    two_s = [w for w in lst.reps if sum(t == ("S",) for t in tokens_of(w)) == 2]
     assert len(two_s) == 42
 
 
@@ -85,7 +87,7 @@ def test_theta0_bijection_onto_p1():
 def test_theta0_rows_are_preferred_with_matching_m():
     lvl = Level(30)
     for w in theta0(lvl).reps:
-        tokens = w.tokens
+        tokens = tokens_of(w)
         if sum(t == ("S",) for t in tokens) != 2:
             continue
         j = tokens[1][1] if tokens[1][0] == "T" else 0
@@ -274,7 +276,7 @@ def test_report_names_both_words_of_a_duplicate(group, n):
     lst = build(Level(n), group)
     w = lst.reps[len(lst) // 2]
     # T^N lies in all three groups, so T^N w is a new word in w's coset
-    twin = make_word(("T", n)) * w
+    twin = str(make_word(("T", n)) * word_of(w))
     assert str(twin) != str(w)
     lst.reps.append(twin)
     report = _failure_report(lst)
@@ -296,11 +298,31 @@ def test_report_text():
         "gamma0 N=6: FAIL, 11 reps, 12 cosets\n  missing coset (1, -2)"
     )
     lst = theta_full(Level(5))
-    lst.reps.append(make_word(("T", 5)) * lst.reps[len(lst) // 2])
+    lst.reps.append(str(make_word(("T", 5)) * word_of(lst.reps[len(lst) // 2])))
     assert str(_failure_report(lst)) == (
         "gammaN N=5: FAIL, 61 reps, 60 cosets\n"
         "  duplicate coset (1, 3, 2, 2): ST^-2ST^-2 vs T^5ST^-2ST^-2"
     )
+
+
+@pytest.mark.parametrize("count", [20, 30])
+def test_report_names_at_most_missing_named_duplicates(count):
+    lst = theta0(Level(30))
+    firsts = lst.reps[:count]
+    # T^30 w lies in w's coset of Gamma_0(30), as another word
+    lst.reps.extend(str(make_word(("T", 30)) * word_of(w)) for w in firsts)
+    report = _failure_report(lst)
+    assert report.duplicate_count == count
+    assert len(report.duplicates) == min(count, cosets.MISSING_NAMED)
+    lines = str(report).splitlines()
+    assert lines[0] == f"gamma0 N=30: FAIL, {72 + count} reps, 72 cosets"
+    named = [f"  duplicate coset {key}: {w1} vs {w2}"
+             for w1, w2, key in report.duplicates]
+    assert [w1 for w1, _, _ in report.duplicates] == firsts[:len(named)]
+    if count <= cosets.MISSING_NAMED:
+        assert lines[1:] == named  # the text of a report before the cap
+    else:
+        assert lines[1:] == named + [f"  {count} duplicates in all"]
 
 
 def test_report_of_a_short_list_names_the_smallest_missing():
@@ -463,19 +485,21 @@ def _theta1_by_formula(level):
 
 
 def test_theta_words_match_their_defining_formula():
-    for n in list(range(2, 41)) + [60, 64]:
+    for n in list(range(2, 61)) + [64]:
         lvl = Level(n)
-        expected = _theta1_by_formula(lvl)
+        expected = [str(w) for w in _theta1_by_formula(lvl)]
         t0 = theta0(lvl).reps
+        assert all(type(w) is str for w in t0)
         assert t0 == expected[: len(t0)]
         assert theta1(lvl).reps == expected
-    lvl = Level(12)
-    expected = [
-        GroupWord((("T", ell),) + w.tokens)
-        for ell in lvl.residues()
-        for w in _theta1_by_formula(lvl)
-    ]
-    assert theta_full(lvl).reps == expected
+    for n in range(2, 25):
+        lvl = Level(n)
+        expected = [
+            str(GroupWord((("T", ell),) + w.tokens))
+            for ell in lvl.residues()
+            for w in _theta1_by_formula(lvl)
+        ]
+        assert theta_full(lvl).reps == expected, n
 
 
 def test_theta_builders_take_m_past_the_window(monkeypatch):
@@ -491,7 +515,7 @@ def test_theta_builders_take_m_past_the_window(monkeypatch):
     for builder in (theta0, theta1):
         reps = builder(lvl).reps
         for m in range(lvl.n2 + 4):
-            assert st(j0) * st(m) in reps
+            assert str(st(j0) * st(m)) in reps
 
 
 def test_coset_keys_equal_the_min_of_both_signs():
@@ -536,16 +560,23 @@ def test_len_of_theta_full_is_the_number_of_words():
         assert count == len(lst.reps) == len(lst), n
 
 
+def _count_word_formatting(monkeypatch) -> list:
+    """Record every T^e the builders format: each word writes at least
+    one, so an empty record means no word was formatted."""
+    calls = []
+    t_power = cosets.t_power
+
+    def counting(e):
+        calls.append(e)
+        return t_power(e)
+
+    monkeypatch.setattr(cosets, "t_power", counting)
+    return calls
+
+
 def test_verify_and_connectivity_of_theta_full_build_no_word(monkeypatch):
     lst = theta_full(Level(60))
-    calls = []
-    mul = GroupWord.__mul__
-
-    def counting(self, other):
-        calls.append(1)
-        return mul(self, other)
-
-    monkeypatch.setattr(GroupWord, "__mul__", counting)
+    calls = _count_word_formatting(monkeypatch)
     assert verify(lst).ok
     assert is_connected(build_graph(lst))
     assert calls == []
@@ -570,7 +601,7 @@ def test_duplicate_appended_to_read_words_names_both():
     lst = theta_full(Level(n))
     words = lst.reps
     w = words[100]
-    twin = make_word(("T", n)) * w
+    twin = str(make_word(("T", n)) * word_of(w))
     words.append(twin)
     report = _failure_report(lst)
     assert report.count == len(words)
@@ -609,19 +640,7 @@ def test_len_builds_nothing(builder):
 @pytest.mark.parametrize("builder, n", [(theta0, 240), (theta1, 168)])
 def test_paths_of_theta0_and_theta1_build_no_word(builder, n, monkeypatch):
     lst = builder(Level(n))
-    calls = []
-    mul, init = GroupWord.__mul__, GroupWord.__init__
-
-    def counting_mul(self, other):
-        calls.append("mul")
-        return mul(self, other)
-
-    def counting_init(self, *args, **kwargs):
-        calls.append("init")
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(GroupWord, "__mul__", counting_mul)
-    monkeypatch.setattr(GroupWord, "__init__", counting_init)
+    calls = _count_word_formatting(monkeypatch)
     assert verify(lst).ok
     graph = build_graph(lst)
     assert is_connected(graph)

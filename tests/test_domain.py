@@ -19,17 +19,17 @@ from fundom.domain import (
     triangle_vertices,
 )
 from fundom.residues import Level
-from fundom.words import (
-    Cusp, cusp, evaluate, make_word, mobius_cusp, parse_word, st,
-)
+from fundom.words import Cusp, cusp, evaluate, mobius_cusp, parse_word
 
 from oracles import (
     cusps_of,
     list_cusp_classes,
+    make_word,
     matrix_search_witness,
     oracle_cusp_equivalent,
     oracle_width,
     render_json_doc,
+    st,
     word_identity,
 )
 
@@ -37,7 +37,7 @@ L30 = Level(30)
 
 
 def test_triangle_of_identity():
-    m = evaluate(word_identity())
+    m = evaluate(str(word_identity()))
     v1, v2, vc = triangle_vertices(m)
     assert abs(v1 - RHO) < 1e-12
     assert abs(v2 - RHO * RHO) < 1e-12
@@ -46,7 +46,7 @@ def test_triangle_of_identity():
 
 
 def test_triangle_of_s():
-    m = evaluate(make_word(("S",)))
+    m = evaluate(str(make_word(("S",))))
     assert mobius_cusp(m) == Cusp(0, 1)
     assert triangle_vertices(m)[2] == 0
     # S maps rho to -1/rho = rho^2 - 1 ... check numerically
@@ -56,7 +56,7 @@ def test_triangle_of_s():
 
 def test_triangle_cusp_minus_one_over_j():
     for j in (2, 3, -2, 5):
-        m = evaluate(st(j) * st(1))
+        m = evaluate(str(st(j) * st(1)))
         assert mobius_cusp(m) == cusp(-1, j)
         assert triangle_vertices(m)[2] == -1 / j
 
@@ -152,6 +152,24 @@ def test_cusp_table_builds_theta0_once(monkeypatch):
     assert calls.count("theta0") == 1
 
 
+@pytest.mark.parametrize("tables", [cusp_tables_text, cusp_tables_csv])
+def test_cusp_tables_build_the_m_table_once(tables, monkeypatch):
+    calls = []
+    real = fundom.projline.m_table
+
+    def counting(level):
+        calls.append(level.n)
+        return real(level)
+
+    for module in (fundom.projline, fundom.cosets, fundom.domain):
+        if hasattr(module, "m_table"):
+            monkeypatch.setattr(module, "m_table", counting)
+    expected = tables(Level(120))
+    monkeypatch.undo()
+    assert calls == [120]
+    assert tables(Level(120)) == expected
+
+
 def test_width_examples():
     assert cusp_width(Cusp(1, 0), L30) == 1
     assert cusp_width(Cusp(0, 1), L30) == 30
@@ -242,7 +260,7 @@ def test_render_options_reject_a_bad_y_max():
 def test_render_svg_single_triangle():
     from fundom.cosets import CosetList, Group
 
-    lst = CosetList(Level(6), Group.GAMMA0, [word_identity()])
+    lst = CosetList(Level(6), Group.GAMMA0, [str(word_identity())])
     svg = render_svg(lst)
     assert svg.count("<path ") == 1
 

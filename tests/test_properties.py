@@ -4,24 +4,19 @@ from hypothesis import given, settings, strategies as stst
 
 from fundom.projline import big_m, m_table, normalize
 from fundom.residues import Level, inv_mod
-from fundom.words import (
-    IDENTITY,
-    S_MAT,
-    GroupWord,
-    Mat2,
-    evaluate,
-    make_word,
-    parse_word,
-    st,
-)
+from fundom.words import IDENTITY, S_MAT, Mat2, evaluate, fold, parse_word
 
 from oracles import (
+    GroupWord,
     coset_key,
     gcd_with_level,
     in_gamma0,
     in_gammaN,
     in_pm_gamma1,
+    make_word,
     psl_normalize,
+    st,
+    word_of,
 )
 
 levels = stst.integers(min_value=2, max_value=120).map(Level)
@@ -115,13 +110,34 @@ raw_tokens = stst.lists(
 words = raw_tokens.map(lambda toks: make_word(*toks))
 
 
-@given(raw_tokens, stst.sampled_from((1, -1)))
-def test_evaluate_matches_generator_product(tokens, sign):
+def generator_product(tokens, sign):
     m = IDENTITY
     for tok in tokens:
         m = m * (S_MAT if tok[0] == "S" else Mat2(1, tok[1], 0, 1))
-    expected = m if sign == 1 else m.neg()
-    assert evaluate(GroupWord(tuple(tokens), sign)) == expected
+    return m if sign == 1 else m.neg()
+
+
+@given(raw_tokens, stst.sampled_from((1, -1)))
+def test_evaluate_matches_generator_product(tokens, sign):
+    expected = generator_product(tokens, sign)
+    assert evaluate(str(GroupWord(tuple(tokens), sign))) == expected
+
+
+@given(raw_tokens, stst.sampled_from((1, -1)), stst.data())
+def test_fold_reads_unmerged_strings(tokens, sign, data):
+    # each token written as it comes, unmerged: T^0 stays, T^1 is "T"
+    # or "T^1", and "I" or "" stands for no tokens
+    parts = [
+        "S" if tok[0] == "S"
+        else data.draw(stst.sampled_from(["T", "T^1"])) if tok[1] == 1
+        else f"T^{tok[1]}"
+        for tok in tokens
+    ]
+    body = "".join(parts) or data.draw(stst.sampled_from(["I", ""]))
+    s = ("-" if sign < 0 else "") + body
+    expected = generator_product(tokens, sign)
+    assert fold(s) == fold(parse_word(s)) == tuple(expected)
+    assert parse_word(s) == str(GroupWord(tuple(tokens), sign))
 
 
 signed_words = stst.builds(
@@ -153,23 +169,24 @@ def test_product_is_the_merged_concatenation(x, y, a, b):
 
 @given(words, words)
 def test_homomorphism(w1, w2):
-    assert evaluate(w1 * w2) == evaluate(w1) * evaluate(w2)
+    assert evaluate(str(w1 * w2)) == evaluate(str(w1)) * evaluate(str(w2))
 
 
 @given(words)
 def test_determinant_one(w):
-    m = evaluate(w)
+    m = evaluate(str(w))
     assert m.a * m.d - m.b * m.c == 1
 
 
 @given(words)
 def test_serialization_roundtrip(w):
-    assert parse_word(str(w)) == w
+    assert parse_word(str(w)) == str(w)
+    assert word_of(parse_word(str(w))) == w
 
 
 @given(words)
 def test_psl_idempotent_and_sign_blind(w):
-    m = evaluate(w)
+    m = evaluate(str(w))
     assert psl_normalize(m).entries() == psl_normalize(m.neg()).entries()
     again = psl_normalize(psl_normalize(m))
     assert again.entries() == psl_normalize(m).entries()
@@ -177,7 +194,7 @@ def test_psl_idempotent_and_sign_blind(w):
 
 @given(levels, words)
 def test_membership_chain(level, w):
-    m = evaluate(w)
+    m = evaluate(str(w))
     if in_gammaN(m, level):
         assert in_pm_gamma1(m, level)
     if in_pm_gamma1(m, level):
@@ -189,8 +206,8 @@ def test_coset_keys_match_membership(level, w):
     # the verification keys and the membership predicates agree
     from fundom.cosets import Group
 
-    m = evaluate(w)
-    g = evaluate(st(1) * make_word(("S",)))  # an arbitrary fixed element
+    m = evaluate(str(w))
+    g = evaluate(str(st(1) * make_word(("S",))))  # an arbitrary fixed element
     prod = m * g
     same0 = coset_key(m, level, Group.GAMMA0) == coset_key(
         prod, level, Group.GAMMA0

@@ -6,27 +6,29 @@ import pytest
 from fundom.residues import Level
 from fundom.words import (
     Cusp,
-    GroupWord,
     IDENTITY,
     Mat2,
     S_MAT,
     T_MAT,
     cusp,
     evaluate,
-    make_word,
+    fold,
     mobius_cusp,
     parse_word,
-    st,
 )
 
 from oracles import (
+    GroupWord,
     in_gamma0,
     in_gammaN,
     in_pm_gamma1,
     parse_cusp,
+    make_word,
     psl_normalize,
     row_map,
+    st,
     word_identity,
+    word_of,
 )
 
 L6 = Level(6)
@@ -35,19 +37,19 @@ L8 = Level(8)
 
 def test_evaluate_sti():
     for i in (-3, 0, 1, 5):
-        assert evaluate(st(i)) == Mat2(0, -1, 1, i)
+        assert evaluate(str(st(i))) == Mat2(0, -1, 1, i)
 
 
 def test_evaluate_stjstm():
     for j, m in ((3, 1), (-2, 0), (0, 0), (5, 2)):
-        assert evaluate(st(j) * st(m)) == Mat2(-1, -m, j, m * j - 1)
+        assert evaluate(str(st(j) * st(m))) == Mat2(-1, -m, j, m * j - 1)
 
 
 def test_evaluate_quotient_word():
     # S T^k S T^{k^-1} S with k = -3, k^-1 = -3 mod 8
     k, kinv = -3, -3
     w = st(k) * st(kinv) * make_word(("S",))
-    assert evaluate(w) == Mat2(-kinv, 1, kinv * k - 1, -k)
+    assert evaluate(str(w)) == Mat2(-kinv, 1, kinv * k - 1, -k)
 
 
 def test_word_merging_and_signs():
@@ -55,7 +57,7 @@ def test_word_merging_and_signs():
     w = make_word(("T", 2), ("T", -2), ("S",))
     assert w.tokens == (("S",),)
     neg = GroupWord((("S",),), sign=-1)
-    assert evaluate(neg) == S_MAT.neg()
+    assert evaluate(str(neg)) == S_MAT.neg()
 
 
 def test_group_word_normalizes_unmerged_tokens():
@@ -78,7 +80,8 @@ def test_word_serialization_roundtrip():
         GroupWord((("T", -7),), sign=-1),
     ]
     for w in words:
-        assert parse_word(str(w)) == w
+        assert parse_word(str(w)) == str(w)
+        assert word_of(parse_word(str(w))) == w
     assert str(word_identity()) == "I"
     assert str(st(-3) * st(3) * make_word(("S",))) == "ST^-3ST^3S"
     assert str(make_word(("S",), ("S",))) == "SS"
@@ -97,23 +100,48 @@ def test_parse_word_names_where_a_bad_word_stops(text, pos):
 
 
 def test_parse_word_of_no_tokens_is_the_identity():
-    assert parse_word("") == word_identity()
-    assert parse_word("-") == make_word(sign=-1)
-    assert str(parse_word("-")) == "-I"
+    assert parse_word("") == str(word_identity())
+    assert parse_word("-") == str(make_word(sign=-1))
+    assert parse_word("-") == "-I"
+
+
+@pytest.mark.parametrize(
+    "text, canonical",
+    [("ST^3S", "ST^3S"), (" -ST^-2 ", "-ST^-2"), ("T^1", "T"),
+     ("T^0", "I"), ("-T^0S", "-S"), ("T^2T^-2S", "S"), ("ST^2TT^0", "ST^3"),
+     ("ST^007", "ST^7"), ("ST^-0S", "SS"), ("TT", "T^2"), ("-I", "-I")],
+)
+def test_parse_word_returns_the_canonical_string(text, canonical):
+    assert parse_word(text) == canonical
+    assert type(parse_word(text)) is str
+    assert parse_word(canonical) == canonical
+    assert fold(text) == fold(canonical)
+
+
+@pytest.mark.parametrize(
+    "text", ["ST^", "Sx", "T^-", "ST^3Q", "-Sx", " S T", "ST^\u0663",
+             "T^\uff11\uff12", "--S", "SI", "IS", "T^+2", "T^1_0", "S\n T"],
+)
+def test_fold_refuses_what_parse_word_refuses(text):
+    with pytest.raises(ValueError):
+        parse_word(text)
+    with pytest.raises(ValueError):
+        fold(text)
 
 
 def test_evaluate_is_homomorphism():
     ws = [st(2), st(-1) * st(3), make_word(("S",)), word_identity()]
     for w1 in ws:
         for w2 in ws:
-            assert evaluate(w1 * w2) == evaluate(w1) * evaluate(w2)
+            assert evaluate(str(w1 * w2)) == (
+                evaluate(str(w1)) * evaluate(str(w2)))
 
 
 def test_generator_relations():
     s = make_word(("S",))
-    assert evaluate(s * s) == IDENTITY.neg()
+    assert evaluate(str(s * s)) == IDENTITY.neg()
     stw = s * make_word(("T", 1))
-    assert evaluate(stw * stw * stw) == IDENTITY.neg()
+    assert evaluate(str(stw * stw * stw)) == IDENTITY.neg()
 
 
 def test_determinant_enforced():
@@ -199,14 +227,14 @@ def test_mat2_products_of_a_forged_matrix_are_checked():
 
 
 def test_row_map():
-    assert row_map(evaluate(st(2)), L6) == (1, 2)
-    m = evaluate(st(3) * st(1))
+    assert row_map(evaluate(str(st(2))), L6) == (1, 2)
+    m = evaluate(str(st(3) * st(1)))
     assert row_map(m, L6) == (3, 2)
     assert row_map(IDENTITY, L6) == (0, 1)
 
 
 def test_mobius_cusp():
-    assert mobius_cusp(evaluate(st(3) * st(1))) == cusp(-1, 3)
+    assert mobius_cusp(evaluate(str(st(3) * st(1)))) == cusp(-1, 3)
     assert mobius_cusp(IDENTITY) == Cusp(1, 0)
     assert mobius_cusp(S_MAT) == Cusp(0, 1)
 
@@ -291,7 +319,7 @@ def test_value_types_reject_bad_fields(make, message):
 def test_memberships():
     assert in_gamma0(IDENTITY, L6)
     k, kinv = -3, -3
-    g = evaluate(st(k) * st(kinv) * make_word(("S",)))
+    g = evaluate(str(st(k) * st(kinv) * make_word(("S",))))
     assert in_gamma0(g, L8)
     assert not in_pm_gamma1(g, L8)  # d = 3 is not +-1 mod 8
     assert not in_gamma0(S_MAT, L6)
@@ -301,14 +329,14 @@ def test_memberships():
     for n in (2, 6, 8, 30):
         assert in_pm_gamma1(m, Level(n))
     assert in_pm_gamma1(IDENTITY.neg(), L8)
-    assert in_gammaN(evaluate(make_word(("T", 8))), L8)
+    assert in_gammaN(evaluate(str(make_word(("T", 8)))), L8)
     assert not in_gammaN(T_MAT, L8)
 
 
 def test_membership_chain():
     lvl = Level(12)
     samples = [
-        evaluate(w)
+        evaluate(str(w))
         for w in (
             word_identity(),
             st(12),
@@ -327,7 +355,7 @@ def test_membership_chain():
 
 
 def test_psl_normalize_keeps_normalized_matrix():
-    for m in (S_MAT, T_MAT, IDENTITY, evaluate(st(3) * st(2))):
+    for m in (S_MAT, T_MAT, IDENTITY, evaluate(str(st(3) * st(2)))):
         n = psl_normalize(m)
         assert psl_normalize(n) is n
     m = Mat2(0, 1, -1, 0)
@@ -338,5 +366,5 @@ def test_psl_normalize():
     assert psl_normalize(IDENTITY).entries() == psl_normalize(IDENTITY.neg()).entries()
     assert psl_normalize(S_MAT).entries() == (0, -1, 1, 0)
     assert psl_normalize(Mat2(0, 1, -1, 0)).entries() == (0, -1, 1, 0)
-    for m in (S_MAT, T_MAT, evaluate(st(3) * st(2))):
+    for m in (S_MAT, T_MAT, evaluate(str(st(3) * st(2)))):
         assert psl_normalize(m).entries() == psl_normalize(m.neg()).entries()
